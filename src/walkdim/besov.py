@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dirichlet import GraphFunction
+from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
 from .ifs import IfsSpec, MeasureSample
 from .levelgraph import LevelGraph, vertex_measure_weights
@@ -58,7 +58,8 @@ def _cloud(source: PointSource) -> tuple[np.ndarray, np.ndarray]:
 def _check_pair_budget(n: int) -> None:
     # quadratic pair enumeration; ball *counting* paths are exempt
     if n > MAX_SCAN_POINTS:
-        raise BudgetExceeded(n, MAX_SCAN_POINTS, "pair-scan points")
+        remedy = "use fewer points or a lower level (fixed limit besov.MAX_SCAN_POINTS)"
+        raise BudgetExceeded(n, MAX_SCAN_POINTS, "pair-scan points", remedy)
 
 
 def _function_values(source: PointSource, u) -> np.ndarray:
@@ -93,6 +94,32 @@ def _strict_pairs(
     # trees that enumerate the same pair set differently
     order = np.lexsort((j, i))
     return i[order], j[order]
+
+
+def _ball_sums(
+    tree: cKDTree,
+    pts: np.ndarray,
+    w: np.ndarray,
+    r: float,
+    vals: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sums over the open balls B(x, r) of every point x.
+
+    Returns the ball volumes (w_x plus w_y over the ball: x always counts,
+    so volumes never vanish), the oscillation sums of w_y*(u(x)-u(y))^2
+    (zeros when vals is None), and the number of pairs x != y in a ball.
+    """
+    i, j = _strict_pairs(tree, pts, r)
+    volume = w.copy()
+    osc = np.zeros(len(pts))
+    if len(i):
+        np.add.at(volume, i, w[j])
+        np.add.at(volume, j, w[i])
+        if vals is not None:
+            diff2 = (vals[i] - vals[j]) ** 2
+            np.add.at(osc, i, w[j] * diff2)
+            np.add.at(osc, j, w[i] * diff2)
+    return volume, osc, len(i)
 
 
 @dataclass(frozen=True)
@@ -167,25 +194,12 @@ def besov_functional(
     tree = cKDTree(pts)
     rows: list[BesovRow] = []
     for r in radii:
-        i, j = _strict_pairs(tree, pts, r)
-        volume = w.copy()  # x belongs to its own ball
-        osc = np.zeros(len(pts))
-        if len(i):
-            diff2 = (vals[i] - vals[j]) ** 2
-            np.add.at(volume, i, w[j])
-            np.add.at(volume, j, w[i])
-            np.add.at(osc, i, w[j] * diff2)
-            np.add.at(osc, j, w[i] * diff2)
+        volume, osc, pairs = _ball_sums(tree, pts, w, r, vals)
         raw = float(np.sum(w * osc / volume))
         scaled = r ** (-2.0 * sigma) * raw
         rows.append(
             BesovRow(
-                float(r),
-                raw,
-                scaled,
-                float(volume.min()),
-                float(volume.max()),
-                int(len(i)),
+                float(r), raw, scaled, float(volume.min()), float(volume.max()), pairs
             )
         )
     usable = [row.scaled for row in rows if row.usable]
@@ -250,15 +264,10 @@ def critical_exponent_fit(
         raise FitError(
             f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4"
         )
-    log_r = np.log([row.r for row in usable])
-    log_v = np.log([row.raw for row in usable])
-    coeffs, cov = np.polyfit(log_r, log_v, 1, cov=True)
+    radii = tuple(row.r for row in usable)
+    values = tuple(row.raw for row in usable)
     return CriticalExponentEstimate(
-        float(coeffs[0]),
-        float(np.sqrt(cov[0][0])),
-        (float(r_min), float(r_max)),
-        tuple(row.r for row in usable),
-        tuple(row.raw for row in usable),
+        *_loglog_fit(radii, values), (float(r_min), float(r_max)), radii, values
     )
 
 
@@ -340,11 +349,7 @@ def alfors_check(
             volumes = counts * w[0]
             center_w = np.full(len(centers), 1.0 / len(centers))
         else:
-            i, j = _strict_pairs(tree, pts, r)
-            volumes = w.copy()
-            if len(i):
-                np.add.at(volumes, i, w[j])
-                np.add.at(volumes, j, w[i])
+            volumes, _, _ = _ball_sums(tree, pts, w, r)
             center_w = w
         ratios = volumes / (r ** alpha)
         rows.append(
@@ -524,19 +529,20 @@ def pushforward_check(
     # with the map so both fits see the same geometric range
     source_fit = critical_exponent_fit(graph, u, r_grid=radii)
     img_radii = tuple(float(r) * s for r in radii)
-    img_scan = besov_functional_points(pts_img, w, vals, img_radii)
-    usable = [(r, v) for r, v in zip(img_radii, img_scan) if v > 0]
+    usable = []
+    for r in img_radii:
+        volume, osc, _ = _ball_sums(tree_img, pts_img, w, r, vals)
+        raw = float(np.sum(w * osc / volume))
+        if raw > 0:
+            usable.append((r, raw))
     if len(usable) < 4:
         raise FitError("too few usable radii on the image side")
-    log_r = np.log([r for r, _ in usable])
-    log_v = np.log([v for _, v in usable])
-    coeffs, cov = np.polyfit(log_r, log_v, 1, cov=True)
+    img_used, img_values = zip(*usable)
     image_fit = CriticalExponentEstimate(
-        float(coeffs[0]),
-        float(np.sqrt(cov[0][0])),
+        *_loglog_fit(img_used, img_values),
         (min(img_radii), max(img_radii)),
-        tuple(r for r, _ in usable),
-        tuple(v for _, v in usable),
+        img_used,
+        img_values,
     )
     combined = 2.0 * (source_fit.stderr + image_fit.stderr)
     fits_agree = abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12)
@@ -553,24 +559,3 @@ def pushforward_check(
         fits_agree,
         exact_invariance,
     )
-
-
-def besov_functional_points(
-    pts: np.ndarray, w: np.ndarray, vals: np.ndarray, radii: Sequence[float]
-) -> list[float]:
-    """Raw ball-normalized oscillation values on a bare point cloud (the
-    core of besov_functional without source plumbing)."""
-    tree = cKDTree(pts)
-    out: list[float] = []
-    for r in radii:
-        i, j = _strict_pairs(tree, pts, float(r))
-        volume = w.copy()
-        osc = np.zeros(len(pts))
-        if len(i):
-            diff2 = (vals[i] - vals[j]) ** 2
-            np.add.at(volume, i, w[j])
-            np.add.at(volume, j, w[i])
-            np.add.at(osc, i, w[j] * diff2)
-            np.add.at(osc, j, w[i] * diff2)
-        out.append(float(np.sum(w * osc / volume)))
-    return out

@@ -17,7 +17,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .audit import audit_pair
-from .besov import LipschitzMap, critical_exponent_fit, pushforward_check
+from .besov import (
+    LipschitzMap,
+    _check_pair_budget,
+    critical_exponent_fit,
+    pushforward_check,
+)
 from .dirichlet import (
     default_time_grid,
     exit_time_profile,
@@ -218,6 +223,7 @@ def _cmd_besov_fit(args):
             raise _ParseFailure(
                 "--sample supports coordinate functions only (x, y)"
             )
+        _check_pair_budget(args.sample)
         source = sample_measure(ifs, depth=args.depth, count=args.sample, seed=args.seed)
         axis = 0 if args.function == "x" else 1
         u = [float(p[axis]) for p in source.points]
@@ -298,14 +304,6 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="RNG seed for sampling-based estimators (default 42)",
-    )
-
     out = _Parser(add_help=False)
     out.add_argument("--out", help="write the data table (or summary) to this file")
     out.add_argument(
@@ -315,12 +313,12 @@ def _build_parser() -> _Parser:
         help="--out file format: csv data table or json summary (default csv)",
     )
 
-    p = sub.add_parser("validate", parents=[common, out], help="run structural checks")
+    p = sub.add_parser("validate", parents=[out], help="run structural checks")
     p.add_argument("system", help="preset name or JSON config path")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser(
-        "dim", parents=[common, out], help="Hausdorff and walk dimension report"
+        "dim", parents=[out], help="Hausdorff and walk dimension report"
     )
     p.add_argument("system")
     p.add_argument("--max-iter", type=int, default=100)
@@ -328,14 +326,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser(
-        "graph", parents=[common, out], help="level-m approximation graph"
+        "graph", parents=[out], help="level-m approximation graph"
     )
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=1)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser(
-        "renorm", parents=[common, out], help="energy renormalization factor"
+        "renorm", parents=[out], help="energy renormalization factor"
     )
     p.add_argument("system")
     p.add_argument("--max-iter", type=int, default=100)
@@ -343,7 +341,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_renorm)
 
     p = sub.add_parser(
-        "harmonic", parents=[common, out], help="energy-minimizing extension"
+        "harmonic", parents=[out], help="energy-minimizing extension"
     )
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=1)
@@ -356,7 +354,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser(
-        "exit-fit", parents=[common, out], help="mean exit times across levels"
+        "exit-fit", parents=[out], help="mean exit times across levels"
     )
     p.add_argument("system")
     p.add_argument("-m", "--levels", type=int, default=4)
@@ -364,7 +362,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_exit_fit)
 
     p = sub.add_parser(
-        "heat-fit", parents=[common, out], help="on-diagonal heat kernel decay"
+        "heat-fit", parents=[out], help="on-diagonal heat kernel decay"
     )
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=6)
@@ -376,7 +374,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "besov-fit",
-        parents=[common, out],
+        parents=[out],
         help="critical exponent from oscillation scaling",
     )
     p.add_argument("system")
@@ -387,11 +385,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-max", default="1/2", help="window upper edge (default 1/2)")
     p.add_argument("--sample", type=int, default=None, help="use N measure samples")
     p.add_argument("--depth", type=int, default=10, help="sampling word length")
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="RNG seed for --sample (default 42)"
+    )
     p.set_defaults(func=_cmd_besov_fit)
 
     p = sub.add_parser(
         "pushforward",
-        parents=[common, out],
+        parents=[out],
         help="oscillation invariance under an affine map",
     )
     p.add_argument("system")
@@ -403,7 +404,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_pushforward)
 
     p = sub.add_parser(
-        "cut", parents=[common, out], help="components after removing vertices"
+        "cut", parents=[out], help="components after removing vertices"
     )
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=1)
@@ -421,7 +422,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser(
-        "compare", parents=[common, out], help="pairwise dimension audit"
+        "compare", parents=[out], help="pairwise dimension audit"
     )
     p.add_argument(
         "systems",

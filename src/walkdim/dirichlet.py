@@ -15,10 +15,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FitError, ReductionError
+from .errors import ConvergenceError, FitError, ReductionError
 from .ifs import IfsSpec, Similitude, ensure_valid
 from .levelgraph import LevelGraph, build_level_graph, vertex_measure_weights
-from .network import renorm_factor, unit_complete_network
+from .network import _adjacency, _eliminate, renorm_factor
 from .rational import as_fraction, format_rational
 
 Value = Union[Fraction, float]
@@ -36,9 +36,6 @@ class GraphFunction:
     def float_values(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
 
-    def scaled(self, factor: Value) -> "GraphFunction":
-        return GraphFunction(self.graph, tuple(v * factor for v in self.values))
-
 
 def solve_weighted_laplacian(
     vertex_count: int,
@@ -52,36 +49,9 @@ def solve_weighted_laplacian(
     Exact when all inputs are Fractions.  Raises if some free vertex has
     no path to anywhere (singular block).
     """
-    adj: list[dict[int, Value]] = [dict() for _ in range(vertex_count)]
-    for (i, j), c in edges.items():
-        if c == 0:
-            continue
-        adj[i][j] = adj[i].get(j, 0) + c
-        adj[j][i] = adj[j].get(i, 0) + c
+    adj = _adjacency(vertex_count, edges)
     load: dict[int, Value] = {v: rhs.get(v, 0) for v in range(vertex_count)}
-    free = set(range(vertex_count)) - set(fixed)
-    order: list[tuple[int, list[tuple[int, Value]], Value, Value]] = []
-    while free:
-        v = min(free, key=lambda u: (len(adj[u]), u))
-        free.discard(v)
-        star = list(adj[v].items())
-        d = sum(c for _, c in star)
-        if d == 0:
-            raise ReductionError(
-                f"vertex {v} has no neighbors left; the system is singular"
-            )
-        order.append((v, star, d, load[v]))
-        for w, _ in star:
-            del adj[w][v]
-        adj[v] = {}
-        for a_pos in range(len(star)):
-            a, ca = star[a_pos]
-            load[a] = load[a] + ca * load[v] / d
-            for b_pos in range(a_pos + 1, len(star)):
-                b, cb = star[b_pos]
-                add = ca * cb / d
-                adj[a][b] = adj[a].get(b, 0) + add
-                adj[b][a] = adj[b].get(a, 0) + add
+    order = _eliminate(adj, set(range(vertex_count)) - set(fixed), load)
     values: list[Optional[Value]] = [None] * vertex_count
     for v, x in fixed.items():
         values[v] = x
@@ -140,7 +110,7 @@ def _has_uniform_fixed_network(ifs: IfsSpec) -> bool:
         try:
             result = renorm_factor(ifs)
             _uniform_cache[ifs] = bool(result.exact)
-        except Exception:
+        except (ConvergenceError, ReductionError):
             _uniform_cache[ifs] = False
     return _uniform_cache[ifs]
 
@@ -332,6 +302,12 @@ def deep_interior_vertex(g: LevelGraph) -> int:
     return best
 
 
+def _loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope of log y against log x, and its standard error."""
+    coeffs, cov = np.polyfit(np.log(x), np.log(y), 1, cov=True)
+    return float(coeffs[0]), float(np.sqrt(cov[0][0]))
+
+
 def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tuple[int, ...]:
     grid = np.unique(
         np.round(np.logspace(math.log10(t_min), math.log10(t_max), count)).astype(int)
@@ -409,11 +385,7 @@ def heat_kernel_diag(
             f"only {len(usable)} usable times in the fit window; "
             f"raise the level or extend the grid"
         )
-    log_t = np.log([t for t, _ in usable])
-    log_p = np.log([p for _, p in usable])
-    coeffs, cov = np.polyfit(log_t, log_p, 1, cov=True)
-    slope = float(coeffs[0])
-    stderr = float(np.sqrt(cov[0][0]))
+    slope, stderr = _loglog_fit([t for t, _ in usable], [p for _, p in usable])
     window = (usable[0][0], usable[-1][0])
     return HeatProfile(times, tuple(diag), laziness, x, slope, stderr, window, plateau)
 

@@ -12,13 +12,12 @@ class ValidationError(WalkdimError):
 class BudgetExceeded(WalkdimError):
     """A requested computation would exceed the configured size budget."""
 
-    def __init__(self, requested: int, budget: int, what: str = "vertices"):
+    def __init__(self, requested: int, budget: int, what: str, remedy: str):
         self.requested = requested
         self.budget = budget
         self.what = what
         super().__init__(
-            f"refusing to build {requested} {what} (budget {budget}); "
-            f"lower the level or raise WALKDIM_BUDGET"
+            f"refusing to build {requested} {what} (budget {budget}); {remedy}"
         )
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._geometry import Point, convex_hull, hull_intersection, point_in_hull
+from ._geometry import Point, convex_hull, hull_intersection
 from .errors import ValidationError
 from .logratio import LogRatio
 from .rational import as_fraction, format_rational
@@ -333,16 +333,6 @@ def sample_measure(
     return MeasureSample(tuple(pts), depth, seed)
 
 
-def resolution_depth(ifs: IfsSpec, epsilon: Fraction = Fraction(1, 1024)) -> int:
-    """Smallest m with ratio^m <= epsilon."""
-    m = 0
-    scale = Fraction(1)
-    while scale > epsilon:
-        scale *= ifs.ratio
-        m += 1
-    return m
-
-
 def preset(name: str) -> IfsSpec:
     try:
         factory = _PRESETS[name]
@@ -391,12 +381,3 @@ def load_system(source: str) -> IfsSpec:
         return preset(source)
     with open(source, "r", encoding="utf-8") as fh:
         return IfsSpec.from_json(json.load(fh))
-
-
-def contains_point_level(ifs: IfsSpec, p: Point, m: int) -> bool:
-    """Is p inside some level-m cell hull? (Coarse attractor membership.)"""
-    hull = attractor_hull(ifs)
-    cells = [hull]
-    for _ in range(m):
-        cells = [[mp.apply(q) for q in cell] for mp in ifs.maps for cell in cells]
-    return any(point_in_hull(p, cell) for cell in cells)

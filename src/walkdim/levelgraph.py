@@ -73,18 +73,6 @@ class LevelGraph:
             adj[j].append(i)
         return adj
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "vertices": [
-                [format_rational(x), format_rational(y)] for x, y in self.vertices
-            ],
-            "edges": [list(e) for e in self.edges],
-            "cells": [list(c) for c in self.cells],
-        }
-
 
 def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     """Enumerate all length-m cells, glue identical rational points.
@@ -97,7 +85,9 @@ def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     n = len(ifs.maps)
     budget = cell_budget()
     if n ** m > budget:
-        raise BudgetExceeded(n ** m, budget, "cells")
+        raise BudgetExceeded(
+            n ** m, budget, "cells", "lower the level or raise WALKDIM_BUDGET"
+        )
 
     cells_pts: list[tuple[Point, ...]] = [tuple(ifs.boundary)]
     for _ in range(m):

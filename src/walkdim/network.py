@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ConvergenceError, ReductionError
 from .ifs import IfsSpec, ensure_valid
@@ -60,26 +60,9 @@ class ConductanceNetwork:
         bset = set(self.boundary)
         return tuple(v for v in range(self.vertex_count) if v not in bset)
 
-    def adjacency(self) -> list[dict[int, Conductance]]:
-        adj: list[dict[int, Conductance]] = [dict() for _ in range(self.vertex_count)]
-        for (i, j), c in self.conductances.items():
-            adj[i][j] = adj[i].get(j, 0) + c
-            adj[j][i] = adj[j].get(i, 0) + c
-        return adj
-
     def edge(self, i: int, j: int) -> Conductance:
         key = (i, j) if i < j else (j, i)
         return self.conductances.get(key, 0)
-
-    def scaled(self, factor: Conductance) -> "ConductanceNetwork":
-        return ConductanceNetwork(
-            self.vertex_count,
-            {e: c * factor for e, c in self.conductances.items()},
-            self.boundary,
-        )
-
-    def total_conductance(self) -> Conductance:
-        return sum(self.conductances.values())
 
     def to_json(self) -> dict:
         def fmt(c: Conductance):
@@ -102,6 +85,57 @@ def unit_complete_network(k: int) -> ConductanceNetwork:
     return ConductanceNetwork(k, edges, tuple(range(k)))
 
 
+def _adjacency(
+    vertex_count: int, edges: dict[Edge, Conductance]
+) -> list[dict[int, Conductance]]:
+    """Symmetric neighbor maps; parallel edges add, zero edges are dropped."""
+    adj: list[dict[int, Conductance]] = [dict() for _ in range(vertex_count)]
+    for (i, j), c in edges.items():
+        if c == 0:
+            continue
+        adj[i][j] = adj[i].get(j, 0) + c
+        adj[j][i] = adj[j].get(i, 0) + c
+    return adj
+
+
+def _eliminate(
+    adj: list[dict[int, Conductance]],
+    vertices: Iterable[int],
+    load: Optional[dict[int, Conductance]] = None,
+) -> list[tuple]:
+    """Star-mesh elimination of `vertices` from `adj`, in place, least
+    degree first (lowest index on ties); `adj` is left holding the Schur
+    complement on the other vertices.  A load moves to the neighbors in
+    proportion to their conductances.  Returns (vertex, star, total
+    conductance, load) per step, in order, for back-substitution."""
+    remaining = set(vertices)
+    order: list[tuple] = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        remaining.discard(v)
+        star = list(adj[v].items())
+        d = sum(c for _, c in star)
+        if d == 0:
+            raise ReductionError(
+                f"vertex {v} has no neighbors left; the Schur complement is singular"
+            )
+        lv = 0 if load is None else load[v]
+        order.append((v, star, d, lv))
+        for w, _ in star:
+            del adj[w][v]
+        adj[v] = {}
+        for a_pos in range(len(star)):
+            a, ca = star[a_pos]
+            if load is not None:
+                load[a] = load[a] + ca * lv / d
+            for b_pos in range(a_pos + 1, len(star)):
+                b, cb = star[b_pos]
+                add = ca * cb / d
+                adj[a][b] = adj[a].get(b, 0) + add
+                adj[b][a] = adj[b].get(a, 0) + add
+    return order
+
+
 def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
     """Eliminate all interior vertices by star-mesh steps.
 
@@ -110,32 +144,8 @@ def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
     exactly.  Interior vertices are eliminated in min-degree order to
     limit fill-in.  The result is re-indexed to boundary order.
     """
-    interior = set(net.interior)
-    if not interior:
-        return ConductanceNetwork(
-            net.vertex_count, dict(net.conductances), net.boundary
-        )
-    adj = net.adjacency()
-    while interior:
-        v = min(interior, key=lambda u: (len(adj[u]), u))
-        interior.discard(v)
-        star = adj[v]
-        d = sum(star.values())
-        if d == 0:
-            raise ReductionError(
-                f"interior vertex {v} is disconnected; Schur complement is singular"
-            )
-        items = list(star.items())
-        for w in star:
-            del adj[w][v]
-        adj[v] = {}
-        for a_pos in range(len(items)):
-            a, ca = items[a_pos]
-            for b_pos in range(a_pos + 1, len(items)):
-                b, cb = items[b_pos]
-                add = ca * cb / d
-                adj[a][b] = adj[a].get(b, 0) + add
-                adj[b][a] = adj[b].get(a, 0) + add
+    adj = _adjacency(net.vertex_count, net.conductances)
+    _eliminate(adj, net.interior)
     remap = {old: new for new, old in enumerate(net.boundary)}
     edges: dict[Edge, Conductance] = {}
     for old_i, new_i in remap.items():
@@ -182,7 +192,7 @@ def effective_resistance(net: ConductanceNetwork, a: int, b: int) -> Fraction:
     """
     if a == b:
         raise ValueError("need two distinct vertices")
-    adj = net.adjacency()
+    adj = _adjacency(net.vertex_count, net.conductances)
     # restrict to the connected component containing a
     comp = {a}
     stack = [a]

@@ -8,7 +8,6 @@ are lossless and diffs are stable.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -56,14 +55,6 @@ def format_rational(value: RationalLike) -> str:
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"
-
-
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 def inth_root(n: int, k: int) -> int | None:

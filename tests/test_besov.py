@@ -10,7 +10,6 @@ from walkdim.besov import (
     LipschitzMap,
     alfors_check,
     besov_functional,
-    besov_functional_points,
     critical_exponent_fit,
     dyadic_grid,
     pushforward_check,
@@ -63,7 +62,8 @@ class TestBesovFunctional:
     def test_quadratic_homogeneity(self, sg):
         u = harmonic_on(sg, 3)
         scan1 = besov_functional(u.graph, u, sigma=0.8)
-        scan2 = besov_functional(u.graph, u.scaled(F(2)), sigma=0.8)
+        doubled = GraphFunction(u.graph, tuple(2 * v for v in u.values))
+        scan2 = besov_functional(u.graph, doubled, sigma=0.8)
         for a, b in zip(scan1.rows, scan2.rows):
             assert b.raw == pytest.approx(4.0 * a.raw, rel=1e-12)
         assert scan2.supremum == pytest.approx(4.0 * scan1.supremum, rel=1e-12)
@@ -122,16 +122,6 @@ class TestBesovFunctional:
             assert row.raw == pytest.approx(
                 besov_raw_brute(pts, w, vals, r), rel=1e-10
             )
-
-    def test_bare_points_route_agrees(self, sg):
-        u = harmonic_on(sg, 3)
-        g = u.graph
-        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
-        w = np.array([float(v) for v in vertex_measure_weights(g)])
-        radii = (0.5, 0.25, 0.125)
-        scan = besov_functional(g, u, sigma=0.0, r_grid=radii)
-        raw = besov_functional_points(pts, w, u.float_values(), radii)
-        assert [row.raw for row in scan.rows] == raw
 
     def test_value_count_checked(self, sg):
         g = build_level_graph(sg, 2)

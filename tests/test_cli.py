@@ -193,6 +193,18 @@ class TestBesovFit:
         assert p1["seed"] == 1 and p2["seed"] == 2
         assert p1["slope"] != p2["slope"]
 
+    def test_sample_budget_refused_before_sampling(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled past the pair-scan budget")
+
+        monkeypatch.setattr("walkdim.cli.sample_measure", never)
+        rc, payload = run(
+            capsys, "besov-fit", "sg", "--sample", "20001", "--function", "x"
+        )
+        assert rc == 1
+        assert payload["error"] == "budget"
+        assert "WALKDIM_BUDGET" not in payload["detail"]
+
     def test_sample_rejects_harmonic(self, capsys):
         rc, payload = run(capsys, "besov-fit", "sg", "--sample", "100")
         assert rc == 2
@@ -246,6 +258,11 @@ class TestErrorPaths:
 
     def test_unknown_command(self, capsys):
         rc, payload = run(capsys, "frobnicate", "sg")
+        assert rc == 2
+        assert payload["error"] == "usage"
+
+    def test_seed_only_on_sampling_command(self, capsys):
+        rc, payload = run(capsys, "dim", "sg", "--seed", "1")
         assert rc == 2
         assert payload["error"] == "usage"
 

@@ -10,7 +10,6 @@ from walkdim.ifs import (
     Similitude,
     attractor_hull,
     compose,
-    contains_point_level,
     ensure_valid,
     hausdorff_dim,
     load_system,
@@ -227,13 +226,3 @@ class TestSerialization:
     def test_load_system_missing(self):
         with pytest.raises(FileNotFoundError):
             load_system("/definitely/not/here.json")
-
-
-class TestContainment:
-    def test_corner_and_center(self, sg):
-        assert contains_point_level(sg, pt(0, 0), 3)
-        # diagonal midpoint joins two cells, so it survives every level
-        assert contains_point_level(sg, pt(F(1, 2), F(1, 2)), 3)
-        # the central hole is excluded from level 1 onward
-        assert not contains_point_level(sg, pt(F(2, 5), F(2, 5)), 1)
-        assert not contains_point_level(sg, pt(F(2, 5), F(2, 5)), 3)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import effective_resistance_dense, schur_reduce_dense
 from walkdim.errors import ReductionError
-from walkdim.ifs import compose
+from walkdim.ifs import IfsSpec, Similitude, compose
 from walkdim.logratio import LogRatio
 from walkdim.network import (
     ConductanceNetwork,
@@ -46,10 +47,6 @@ class TestConductanceNetwork:
     def test_interior(self):
         net = ConductanceNetwork(4, {(0, 1): F(1)}, (0, 3))
         assert net.interior == (1, 2)
-
-    def test_scaled(self):
-        net = unit_complete_network(3).scaled(F(3, 5))
-        assert net.edge(0, 1) == F(3, 5)
 
 
 class TestReduction:
@@ -193,6 +190,28 @@ class TestRenorm:
     def test_json_exact_string(self, sg):
         j = renorm_factor(sg).to_json()
         assert j["energy_scale"] == "5/3" and j["exact"] is True
+
+    def test_hook_float_fixed_point(self):
+        # 5-map hook: the unit network is not renormalization-fixed, so
+        # the float route runs; its fixed direction is (s, s, 3 - 2s) with
+        # s = (sqrt(33) - 3)/2
+        third = F(1, 3)
+        offsets = [(0, 0), (third, 0), (2 * third, 0), (0, third), (0, 2 * third)]
+        hook = IfsSpec(
+            "hook",
+            tuple(Similitude(third, (F(x), F(y))) for x, y in offsets),
+            ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
+        )
+        res = renorm_factor(hook)
+        assert res.exact is False and res.iterations > 0
+        fixed = res.fixed_network.conductances
+        assert sum(fixed.values()) == pytest.approx(3, abs=1e-12)
+        s = (math.sqrt(33) - 3) / 2
+        assert sum(abs(c - s) <= 1e-12 for c in fixed.values()) == 2
+        mu = 1 / res.energy_scale
+        reduced = reduce_boundary(replicate(hook, res.fixed_network))
+        for e, c in fixed.items():
+            assert reduced.edge(*e) == pytest.approx(mu * c, rel=1e-10)
 
 
 class TestWalkDimension:

@@ -8,7 +8,6 @@ from walkdim.rational import (
     as_fraction,
     format_rational,
     inth_root,
-    isqrt_exact,
     parse_rational,
 )
 
@@ -65,11 +64,6 @@ class TestFormatRational:
 
 
 class TestIntegerRoots:
-    def test_isqrt_exact(self):
-        assert isqrt_exact(144) == 12
-        assert isqrt_exact(145) is None
-        assert isqrt_exact(-4) is None
-
     @pytest.mark.parametrize("base,k", [(2, 10), (3, 7), (885, 3), (10, 6)])
     def test_inth_root_exact(self, base, k):
         assert inth_root(base ** k, k) == base
