@@ -4,8 +4,10 @@ The scan computes, per radius r, the weighted mean-square oscillation
 over open balls B(x,r) normalized by empirical ball volumes, which is
 the discrete counterpart of the sup-over-r functional whose critical
 exponent recovers the walk dimension.  Point clouds come from level
-graphs (exact weights) or measure samples (uniform weights); pair
-enumeration uses a k-d tree at each scale.
+graphs (exact weights) or measure samples (uniform weights).  A scan
+enumerates its point pairs once, with one k-d query at its largest
+radius, and keeps each radius's open-ball pairs by a mask on the squared
+distances.
 
 Float geometry here is exact for the shipped systems: vertex and sample
 coordinates are dyadic rationals, so squared distances and dyadic radii
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -77,49 +79,50 @@ def _function_values(source: PointSource, u) -> np.ndarray:
     return arr
 
 
-def _strict_pairs(
-    tree: cKDTree, points: np.ndarray, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs with d(x,y) < r strictly (open balls)."""
-    pairs = tree.query_pairs(r, output_type="ndarray")
-    if len(pairs) == 0:
-        empty = np.zeros(0, dtype=int)
-        return empty, empty
-    i, j = pairs[:, 0], pairs[:, 1]
-    delta = points[i] - points[j]
-    d2 = (delta * delta).sum(axis=1)
-    keep = d2 < r * r
-    i, j = i[keep], j[keep]
-    # canonical order: accumulation becomes order-independent across
-    # trees that enumerate the same pair set differently
-    order = np.lexsort((j, i))
-    return i[order], j[order]
+def _pairs_by_radius(
+    points: np.ndarray, radii: Sequence[float]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per radius, in the given order: the index pairs (i, j), i < j,
+    with d(x_i, x_j) < r strictly (open balls), sorted by (i, j).
+
+    The canonical order makes accumulation independent of how the tree
+    enumerates pairs; a masked subset of a sorted list stays sorted, so
+    every radius sees its pairs in that order.
+    """
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(max(radii), output_type="ndarray")
+    i, j = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
+    del pairs  # this frame lives until the last radius is yielded
+    x, y = np.ascontiguousarray(points.T)
+    d2 = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
+    for r in radii:
+        keep = d2 < r * r
+        yield i[keep], j[keep]
 
 
 def _ball_sums(
-    tree: cKDTree,
     pts: np.ndarray,
     w: np.ndarray,
-    r: float,
+    radii: Sequence[float],
     vals: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sums over the open balls B(x, r) of every point x.
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Per radius, in the given order: sums over the open balls B(x, r)
+    of every point x.
 
-    Returns the ball volumes (w_x plus w_y over the ball: x always counts,
+    Yields the ball volumes (w_x plus w_y over the ball: x always counts,
     so volumes never vanish), the oscillation sums of w_y*(u(x)-u(y))^2
     (zeros when vals is None), and the number of pairs x != y in a ball.
     """
-    i, j = _strict_pairs(tree, pts, r)
-    volume = w.copy()
-    osc = np.zeros(len(pts))
-    if len(i):
+    for i, j in _pairs_by_radius(pts, radii):
+        volume = w.copy()
+        osc = np.zeros(len(pts))
         np.add.at(volume, i, w[j])
         np.add.at(volume, j, w[i])
         if vals is not None:
             diff2 = (vals[i] - vals[j]) ** 2
             np.add.at(osc, i, w[j] * diff2)
             np.add.at(osc, j, w[i] * diff2)
-    return volume, osc, len(i)
+        yield volume, osc, len(i)
 
 
 @dataclass(frozen=True)
@@ -191,10 +194,8 @@ def besov_functional(
     for r in radii:
         if not (0 < r < 1):
             raise ValueError("radii must lie in (0,1)")
-    tree = cKDTree(pts)
     rows: list[BesovRow] = []
-    for r in radii:
-        volume, osc, pairs = _ball_sums(tree, pts, w, r, vals)
+    for r, (volume, osc, pairs) in zip(radii, _ball_sums(pts, w, radii, vals)):
         raw = float(np.sum(w * osc / volume))
         scaled = r ** (-2.0 * sigma) * raw
         rows.append(
@@ -328,29 +329,27 @@ def alfors_check(
     radii = tuple(r_grid) if r_grid is not None else tuple(2.0 ** -j for j in range(1, 7))
     if not radii:
         raise ValueError("empty radius grid")
-    tree = cKDTree(pts)
+    if not all(0 < r for r in radii):
+        raise ValueError("radii must be positive")
     uniform = np.allclose(w, w[0])
-    if not uniform:
-        _check_pair_budget(len(pts))
-        centers = np.arange(len(pts))
-    else:
+    if uniform:
+        tree = cKDTree(pts)
         stride = max(1, len(pts) // max_centers)
         centers = np.arange(0, len(pts), stride)[:max_centers]
+        center_w = np.full(len(centers), 1.0 / len(centers))
+        # open ball: shrink the query radius to just below r; exact
+        # for dyadic coordinates whose distance gaps dwarf one ulp
+        volumes_by_radius = (
+            tree.query_ball_point(pts[centers], np.nextafter(r, 0.0), return_length=True)
+            * w[0]
+            for r in radii
+        )
+    else:
+        _check_pair_budget(len(pts))
+        center_w = w
+        volumes_by_radius = (volume for volume, _, _ in _ball_sums(pts, w, radii))
     rows: list[AlforsRow] = []
-    for r in radii:
-        if not (0 < r):
-            raise ValueError("radii must be positive")
-        if uniform:
-            # open ball: shrink the query radius to just below r; exact
-            # for dyadic coordinates whose distance gaps dwarf one ulp
-            counts = tree.query_ball_point(
-                pts[centers], np.nextafter(r, 0.0), return_length=True
-            )
-            volumes = counts * w[0]
-            center_w = np.full(len(centers), 1.0 / len(centers))
-        else:
-            volumes, _, _ = _ball_sums(tree, pts, w, r)
-            center_w = w
+    for r, volumes in zip(radii, volumes_by_radius):
         ratios = volumes / (r ** alpha)
         rows.append(
             AlforsRow(
@@ -405,15 +404,15 @@ class LipschitzMap:
 
 
 def _pair_oscillation(
-    pts: np.ndarray, w: np.ndarray, vals: np.ndarray, tree: cKDTree, r: float
-) -> float:
-    """Double integral of (u(x)-u(y))^2 over open-ball pairs (no volume
-    normalization); the quantity the pushforward inequality bounds."""
-    i, j = _strict_pairs(tree, pts, r)
-    if len(i) == 0:
-        return 0.0
-    diff2 = (vals[i] - vals[j]) ** 2
-    return float(2.0 * np.sum(w[i] * w[j] * diff2))  # both orientations
+    pts: np.ndarray, w: np.ndarray, vals: np.ndarray, radii: Sequence[float]
+) -> list[float]:
+    """Per radius: the double integral of (u(x)-u(y))^2 over open-ball
+    pairs (no volume normalization); the quantity the pushforward
+    inequality bounds.  Each pair counts in both orientations."""
+    return [
+        float(2.0 * np.sum(w[i] * w[j] * (vals[i] - vals[j]) ** 2))
+        for i, j in _pairs_by_radius(pts, radii)
+    ]
 
 
 @dataclass(frozen=True)
@@ -494,8 +493,9 @@ def pushforward_check(
     pts_img = np.array([[float(x), float(y)] for x, y in image_vertices])
 
     radii = tuple(r_grid) if r_grid is not None else dyadic_grid()
-    tree_src = cKDTree(pts_src)
-    tree_img = cKDTree(pts_img)
+    # (iii) the source fit comes first: it checks the radius grid before
+    # any other pair scan runs
+    source_fit = critical_exponent_fit(graph, u, r_grid=radii)
 
     # (i) alpha-dimensional mass transport: image carries s^alpha times
     # the source mass, so L^p norms scale by s^(alpha/p)
@@ -516,22 +516,20 @@ def pushforward_check(
     cprime_bound = c_float ** (2.0 * alpha)
     rows: list[PushforwardRow] = []
     observed_ratio = 0.0
-    for r in radii:
-        lhs = _pair_oscillation(pts_img, w_img, vals, tree_img, float(r))
-        rhs = _pair_oscillation(pts_src, w, vals, tree_src, float(r) * c_float)
+    lhs_by_radius = _pair_oscillation(pts_img, w_img, vals, [float(r) for r in radii])
+    rhs_by_radius = _pair_oscillation(pts_src, w, vals, [float(r) * c_float for r in radii])
+    for r, lhs, rhs in zip(radii, lhs_by_radius, rhs_by_radius):
         bound = cprime_bound * rhs
         ok = lhs <= bound * (1 + 1e-12)
         if rhs > 0 and lhs > 0:
             observed_ratio = max(observed_ratio, lhs / rhs)
         rows.append(PushforwardRow(float(r), lhs, rhs, bound, ok))
 
-    # (iii) independent critical-exponent fits; the image window scales
-    # with the map so both fits see the same geometric range
-    source_fit = critical_exponent_fit(graph, u, r_grid=radii)
+    # (iii) the image fit, independent of the source fit; the image
+    # window scales with the map so both fits see the same geometric range
     img_radii = tuple(float(r) * s for r in radii)
     usable = []
-    for r in img_radii:
-        volume, osc, _ = _ball_sums(tree_img, pts_img, w, r, vals)
+    for r, (volume, osc, _) in zip(img_radii, _ball_sums(pts_img, w, img_radii, vals)):
         raw = float(np.sum(w * osc / volume))
         if raw > 0:
             usable.append((r, raw))

@@ -238,7 +238,7 @@ def _cmd_besov_fit(args):
     payload = {
         "system": ifs.name,
         "function": args.function,
-        "seed": args.seed,
+        "seed": args.seed if args.sample is not None else None,
         **estimate.to_json(),
     }
     rows = [[r, v] for r, v in zip(estimate.radii, estimate.values)]

@@ -145,6 +145,17 @@ def ball_volumes_brute(pts: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
     return vols
 
 
+def open_ball_pairs_brute(pts: np.ndarray, r: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, at distance < r, in (i, j) order."""
+    n = len(pts)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if float((pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2) < r * r
+    ]
+
+
 def oscillation_brute(
     pts: np.ndarray, w: np.ndarray, vals: np.ndarray, r: float
 ) -> float:

@@ -4,10 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ball_volumes_brute, besov_raw_brute, oscillation_brute
+from oracles import (
+    ball_volumes_brute,
+    besov_raw_brute,
+    open_ball_pairs_brute,
+    oscillation_brute,
+)
 from walkdim.besov import (
     DRIFT_THRESHOLD,
     LipschitzMap,
+    _pairs_by_radius,
     alfors_check,
     besov_functional,
     critical_exponent_fit,
@@ -42,6 +48,25 @@ class TestDyadicGrid:
             dyadic_grid(0, 4)
         with pytest.raises(ValueError):
             dyadic_grid(4, 2)
+
+
+class TestPairsByRadius:
+    @pytest.mark.parametrize(
+        "system, level, radii",
+        [
+            # 1/8 is the level-3 vertex spacing; 0.3 repeats
+            ("sg", 3, [0.3, 0.125, 0.5, 0.3, 0.0625]),
+            # thirds are not dyadic; 1/9 is the level-2 vertex spacing
+            ("hook", 2, [1 / 3, 0.5, 1 / 9, 0.2, 1 / 3]),
+            # the spacing 1/4 lies inside the query at the largest radius
+            ("segment", 2, [0.5, 0.25]),
+        ],
+    )
+    def test_matches_brute_open_balls(self, request, system, level, radii):
+        g = build_level_graph(request.getfixturevalue(system), level)
+        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
+        for r, (i, j) in zip(radii, _pairs_by_radius(pts, radii), strict=True):
+            assert list(zip(i.tolist(), j.tolist())) == open_ball_pairs_brute(pts, r)
 
 
 class TestBesovFunctional:
@@ -123,6 +148,14 @@ class TestBesovFunctional:
                 besov_raw_brute(pts, w, vals, r), rel=1e-10
             )
 
+    def test_row_independent_of_grid(self, sg):
+        u = harmonic_on(sg, 4)
+        grid = [0.125, 0.5, 0.3, 0.0625, 0.5, 0.25]
+        full = besov_functional(u.graph, u, sigma=0.9, r_grid=grid)
+        for r, row in zip(grid, full.rows):
+            alone = besov_functional(u.graph, u, sigma=0.9, r_grid=[r])
+            assert alone.rows == (row,)
+
     def test_value_count_checked(self, sg):
         g = build_level_graph(sg, 2)
         with pytest.raises(ValueError):
@@ -167,6 +200,12 @@ class TestCriticalExponentFit:
         fit = critical_exponent_fit(u.graph, u)
         assert fit.beta_star == fit.slope
         assert fit.slope == pytest.approx(math.log(5) / math.log(2), rel=0.04)
+
+    @pytest.mark.parametrize("corner", range(3))
+    def test_every_corner_within_seven_percent(self, sg, corner):
+        u = harmonic_extension(sg, 6, tuple(F(int(a == corner)) for a in range(3)))
+        fit = critical_exponent_fit(u.graph, u)
+        assert fit.slope == pytest.approx(math.log(5) / math.log(2), rel=0.07)
 
     def test_segment_slope_near_two(self, segment):
         u = harmonic_on(segment, 8)

@@ -193,6 +193,11 @@ class TestBesovFit:
         assert p1["seed"] == 1 and p2["seed"] == 2
         assert p1["slope"] != p2["slope"]
 
+    def test_seed_null_without_sample(self, capsys):
+        rc, payload = run(capsys, "besov-fit", "sg", "-m", "5", "--seed", "3")
+        assert rc == 0
+        assert payload["seed"] is None
+
     def test_sample_budget_refused_before_sampling(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("sampled past the pair-scan budget")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import effective_resistance_dense, schur_reduce_dense
 from walkdim.errors import ReductionError
-from walkdim.ifs import IfsSpec, Similitude, compose
+from walkdim.ifs import compose
 from walkdim.logratio import LogRatio
 from walkdim.network import (
     ConductanceNetwork,
@@ -191,17 +191,10 @@ class TestRenorm:
         j = renorm_factor(sg).to_json()
         assert j["energy_scale"] == "5/3" and j["exact"] is True
 
-    def test_hook_float_fixed_point(self):
-        # 5-map hook: the unit network is not renormalization-fixed, so
-        # the float route runs; its fixed direction is (s, s, 3 - 2s) with
+    def test_hook_float_fixed_point(self, hook):
+        # the unit network is not renormalization-fixed, so the float
+        # route runs; its fixed direction is (s, s, 3 - 2s) with
         # s = (sqrt(33) - 3)/2
-        third = F(1, 3)
-        offsets = [(0, 0), (third, 0), (2 * third, 0), (0, third), (0, 2 * third)]
-        hook = IfsSpec(
-            "hook",
-            tuple(Similitude(third, (F(x), F(y))) for x, y in offsets),
-            ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
-        )
         res = renorm_factor(hook)
         assert res.exact is False and res.iterations > 0
         fixed = res.fixed_network.conductances
