@@ -478,13 +478,18 @@ def pushforward_check(
     (ii) the pair-oscillation inequality image(r) <= C' * source(C*r)
     with C the bi-Lipschitz constant and C' = C^(2 alpha), at every grid
     radius, and (iii) agreement of the critical-exponent fits computed
-    independently on source and image clouds.
+    independently on source and image clouds.  u must live on a level
+    graph of `ifs`; ValueError otherwise.
     """
     graph = u.graph
+    if ifs != graph.ifs:
+        raise ValueError(
+            f"u lives on {graph.ifs.name!r}, not on the given system {ifs.name!r}"
+        )
     if alpha is None:
         from .ifs import hausdorff_dim
 
-        alpha = hausdorff_dim(graph.ifs).value
+        alpha = hausdorff_dim(ifs).value
     pts_src, w = _cloud(graph)
     _check_pair_budget(len(pts_src))
     vals = u.float_values()

@@ -100,8 +100,9 @@ def _constants(text: str) -> tuple[int, Fraction, Fraction]:
     )
 
 
-def _graph_function(ifs: IfsSpec, graph, name: str, boundary: Optional[str]):
-    """Resolve a named test function to per-vertex values."""
+def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]):
+    """Build the level graph and resolve a named test function on it:
+    (graph, values), the values per vertex or the harmonic GraphFunction."""
     if name == "harmonic":
         k = len(ifs.boundary)
         if boundary is None:
@@ -110,10 +111,12 @@ def _graph_function(ifs: IfsSpec, graph, name: str, boundary: Optional[str]):
             vals = _rational_list(boundary, "boundary value")
             if len(vals) != k:
                 raise _ParseFailure(f"need {k} boundary values, got {len(vals)}")
-        return harmonic_extension(ifs, graph.level, vals)
+        u = harmonic_extension(ifs, level, vals)
+        return u.graph, u
     if name in ("x", "y"):
         axis = 0 if name == "x" else 1
-        return [float(v[axis]) for v in graph.vertices]
+        graph = build_level_graph(ifs, level)
+        return graph, [float(v[axis]) for v in graph.vertices]
     raise _ParseFailure(f"unknown function {name!r} (harmonic, x, y)")
 
 
@@ -228,8 +231,7 @@ def _cmd_besov_fit(args):
         axis = 0 if args.function == "x" else 1
         u = [float(p[axis]) for p in source.points]
     else:
-        source = build_level_graph(ifs, args.level)
-        u = _graph_function(ifs, source, args.function, args.boundary)
+        source, u = _graph_function(ifs, args.level, args.function, args.boundary)
     window = (
         float(_rational(args.r_min, "window edge")),
         float(_rational(args.r_max, "window edge")),
@@ -247,10 +249,7 @@ def _cmd_besov_fit(args):
 
 def _cmd_pushforward(args):
     ifs = _load(args.system)
-    graph = build_level_graph(ifs, args.level)
-    u = _graph_function(ifs, graph, args.function, args.boundary)
-    if not hasattr(u, "graph"):
-        raise _ParseFailure("pushforward needs a graph function (harmonic)")
+    _, u = _graph_function(ifs, args.level, args.function, args.boundary)
     transform = LipschitzMap(_rational(args.scale, "scale"), _point(args.translate))
     report = pushforward_check(transform, ifs, u)
     payload = {"system": ifs.name, "level": args.level, **report.to_json()}

@@ -8,6 +8,7 @@ the tail integral required for the walk-dimension identification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,10 +16,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, FitError, ReductionError
-from .ifs import IfsSpec, Similitude, ensure_valid
+from .errors import FitError
+from .ifs import IfsSpec, ensure_valid
 from .levelgraph import LevelGraph, build_level_graph, vertex_measure_weights
-from .network import _adjacency, _eliminate, renorm_factor
+from .network import _adjacency, _eliminate
 from .rational import as_fraction, format_rational
 
 Value = Union[Fraction, float]
@@ -70,13 +71,19 @@ def _unit_edges(g: LevelGraph) -> dict[tuple[int, int], Fraction]:
 @dataclass(frozen=True)
 class _ExtensionRule:
     """Per-refinement harmonic interpolation: level-1 vertex values as
-    exact linear combinations of the k cell corner values."""
+    exact linear combinations of the k cell corner values.
+
+    exact: the trace of the unit level-1 network on V0 is uniform, i.e.
+    the unit network is a fixed direction of renormalization; then the
+    rule iterates to the level-m minimizer at every depth."""
 
     graph1: LevelGraph
     matrix: tuple[tuple[Fraction, ...], ...]  # |V1| x k
+    exact: bool
 
 
-def _one_level_rule(ifs: IfsSpec) -> _ExtensionRule:
+@functools.lru_cache(maxsize=256)
+def _extension_rule(ifs: IfsSpec) -> _ExtensionRule:
     g1 = build_level_graph(ifs, 1)
     k = len(ifs.boundary)
     bidx = g1.boundary_indices()
@@ -89,30 +96,16 @@ def _one_level_rule(ifs: IfsSpec) -> _ExtensionRule:
     matrix = tuple(
         tuple(cols[b][v] for b in range(k)) for v in range(g1.vertex_count)
     )
-    return _ExtensionRule(g1, matrix)
-
-
-_rule_cache: dict[IfsSpec, _ExtensionRule] = {}
-_uniform_cache: dict[IfsSpec, bool] = {}
-
-
-def _extension_rule(ifs: IfsSpec) -> _ExtensionRule:
-    if ifs not in _rule_cache:
-        _rule_cache[ifs] = _one_level_rule(ifs)
-    return _rule_cache[ifs]
-
-
-def _has_uniform_fixed_network(ifs: IfsSpec) -> bool:
-    """True when the unit network on V0 is an exact fixed direction of
-    the renormalization map; then one-level interpolation iterates to
-    the global minimizer at every depth."""
-    if ifs not in _uniform_cache:
-        try:
-            result = renorm_factor(ifs)
-            _uniform_cache[ifs] = bool(result.exact)
-        except (ConvergenceError, ReductionError):
-            _uniform_cache[ifs] = False
-    return _uniform_cache[ifs]
+    # trace conductance between corners a != b: -E(h_a, h_b)
+    trace = {
+        -sum(
+            ((cols[a][i] - cols[a][j]) * (cols[b][i] - cols[b][j]) for i, j in g1.edges),
+            start=Fraction(0),
+        )
+        for a in range(k)
+        for b in range(a + 1, k)
+    }
+    return _ExtensionRule(g1, matrix, len(trace) == 1)
 
 
 def harmonic_extension(
@@ -124,28 +117,29 @@ def harmonic_extension(
     """The unique minimizer of the level-m graph energy among functions
     with the given V0 values; exact for rational data.
 
-    method: "auto" picks cell recursion when the system's unit network
-    is renormalization-fixed (all shipped presets), else the direct
-    sparse elimination solve; "recursive" and "direct" force a route.
+    method: "auto" takes cell recursion when the one-level rule is exact
+    (the system's unit network is renormalization-fixed, as for all
+    shipped presets), else the direct sparse elimination solve;
+    "direct" forces the solve, and "recursive" forces cell recursion and
+    raises ValueError for a system whose rule is not exact, where the
+    recursion would miss the minimizer.
     """
     ensure_valid(ifs)
     k = len(ifs.boundary)
     if len(boundary_values) != k:
         raise ValueError(f"need {k} boundary values")
-    vals = [as_fraction(v) if not isinstance(v, float) else v for v in boundary_values]
-    graph = build_level_graph(ifs, m)
-    if m == 0:
-        ordered = [None] * k
-        for a, b in enumerate(graph.boundary_indices()):
-            ordered[b] = vals[a]
-        return GraphFunction(graph, tuple(ordered))
-
     if method not in ("auto", "recursive", "direct"):
         raise ValueError("method must be auto, recursive, or direct")
-    if method == "auto":
-        method = "recursive" if _has_uniform_fixed_network(ifs) else "direct"
+    vals = [as_fraction(v) if not isinstance(v, float) else v for v in boundary_values]
+    rule = None if method == "direct" else _extension_rule(ifs)
+    if method == "recursive" and not rule.exact:
+        raise ValueError(
+            f"the unit network of {ifs.name!r} is not renormalization-fixed, "
+            'so cell recursion misses the minimizer; use method="direct"'
+        )
+    graph = build_level_graph(ifs, m)
 
-    if method == "direct":
+    if rule is None or not rule.exact:
         bidx = graph.boundary_indices()
         fixed = {bidx[a]: vals[a] for a in range(k)}
         solution = solve_weighted_laplacian(
@@ -153,31 +147,27 @@ def harmonic_extension(
         )
         return GraphFunction(graph, tuple(solution))
 
-    rule = _extension_rule(ifs)
+    # corner values per cell, one level at a time; with n maps, child d
+    # of cell c is cell c*n + d, the order build_level_graph emits
     g1, h = rule.graph1, rule.matrix
-    out: dict[tuple, Value] = {}
-
-    def descend(transform: Optional[Similitude], corners: list[Value], depth: int):
-        if depth == m:
-            for a, p0 in enumerate(ifs.boundary):
-                pt = transform.apply(p0) if transform is not None else p0
-                prev = out.get(pt)
-                if prev is None:
-                    out[pt] = corners[a]
-                elif prev != corners[a]:
-                    raise AssertionError("inconsistent cell extension values")
-            return
-        local = [
-            sum((h[v][b] * corners[b] for b in range(len(corners))), start=Fraction(0))
-            for v in range(g1.vertex_count)
-        ]
-        for i, mp in enumerate(ifs.maps):
-            sub = [local[g1.cells[i][a]] for a in range(len(corners))]
-            nxt = transform.after(mp) if transform is not None else mp
-            descend(nxt, sub, depth + 1)
-
-    descend(None, list(vals), 0)
-    return GraphFunction(graph, tuple(out[p] for p in graph.vertices))
+    corners: list[list[Value]] = [vals]
+    for _ in range(m):
+        children: list[list[Value]] = []
+        for cell in corners:
+            local = [
+                sum((row[b] * cell[b] for b in range(k)), start=Fraction(0))
+                for row in h
+            ]
+            children.extend([local[v] for v in sub] for sub in g1.cells)
+        corners = children
+    values: list[Optional[Value]] = [None] * graph.vertex_count
+    for cell, cell_values in zip(graph.cells, corners):
+        for v, x in zip(cell, cell_values):
+            if values[v] is None:
+                values[v] = x
+            elif values[v] != x:
+                raise AssertionError("inconsistent cell extension values")
+    return GraphFunction(graph, tuple(values))
 
 
 def graph_energy(u: GraphFunction, energy_scale: Value) -> Value:

@@ -350,6 +350,11 @@ class TestPushforward:
         assert rep.inflation == 2
         assert all(row.ok for row in rep.rows)
 
+    def test_mismatched_system_rejected(self, sg, segment):
+        u = harmonic_on(sg, 3)
+        with pytest.raises(ValueError, match="segment"):
+            pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), segment, u)
+
     def test_json_shape(self, sg):
         u = harmonic_on(sg, 5)
         rep = pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, u)

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import walkdim.cli
+import walkdim.dirichlet
 from walkdim.cli import main
 
 
@@ -121,6 +126,16 @@ class TestHarmonic:
         rc, payload = run(capsys, "harmonic", "sg", "--boundary", "1,0,xyz")
         assert rc == 2
         assert payload["error"] == "config"
+
+    def test_forced_recursion_refused(self, capsys, tmp_path, hook):
+        path = tmp_path / "hook.json"
+        path.write_text(json.dumps(hook.to_json()))
+        rc, payload = run(
+            capsys, "harmonic", str(path), "-m", "2", "--method", "recursive"
+        )
+        assert rc == 1
+        assert payload["error"] == "value"
+        assert 'method="direct"' in payload["detail"]
 
 
 class TestCut:
@@ -246,6 +261,40 @@ class TestPushforward:
         rc, payload = run(capsys, "pushforward", "sg", "-m", "5", "--scale", "1")
         assert rc == 0
         assert payload["exact_invariance"] is True
+
+
+@pytest.mark.parametrize("command", ["besov-fit", "pushforward"])
+def test_level_graph_built_once(capsys, monkeypatch, command):
+    levels = []
+    real = walkdim.cli.build_level_graph
+
+    def counting(ifs, m):
+        levels.append(m)
+        return real(ifs, m)
+
+    monkeypatch.setattr(walkdim.cli, "build_level_graph", counting)
+    monkeypatch.setattr(walkdim.dirichlet, "build_level_graph", counting)
+    # the default fit window needs a deeper level; the count is what matters
+    main([command, "sg", "-m", "3"])
+    capsys.readouterr()
+    assert levels.count(3) == 1
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("walkdim ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 12
+    for line in commands:
+        rc = main(shlex.split(line, comments=True)[1:])
+        out = capsys.readouterr().out
+        assert rc == 0, f"{line}\n{out}"
 
 
 class TestErrorPaths:

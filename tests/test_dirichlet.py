@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import dense_laplacian, exit_time_float, solve_dense
 from walkdim.dirichlet import (
     GraphFunction,
+    _extension_rule,
     decay_condition_check,
     deep_interior_vertex,
     default_time_grid,
@@ -18,7 +19,9 @@ from walkdim.dirichlet import (
     solve_weighted_laplacian,
 )
 from walkdim.errors import FitError, ReductionError
+from walkdim.ifs import compose
 from walkdim.levelgraph import build_level_graph
+from walkdim.network import renorm_factor
 
 F = Fraction
 
@@ -114,19 +117,33 @@ class TestHarmonicExtension:
             bidx = u.graph.boundary_indices()
             assert tuple(u.values[b] for b in bidx) == vals
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_recursive_matches_direct(self, sg, m):
         vals = (F(1), F(2, 3), F(-1, 5))
         ur = harmonic_extension(sg, m, vals, method="recursive")
         ud = harmonic_extension(sg, m, vals, method="direct")
         assert ur.values == ud.values
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_recursive_matches_direct_segment(self, segment, m):
         vals = (F(0), F(1))
         ur = harmonic_extension(segment, m, vals, method="recursive")
         ud = harmonic_extension(segment, m, vals, method="direct")
         assert ur.values == ud.values
+
+    def test_forced_recursion_refused_when_rule_inexact(self, hook):
+        # cell recursion would give unit energy 0.34826 at level 2, above
+        # the true minimum 0.33962 of the direct solve
+        with pytest.raises(ValueError, match='method="direct"'):
+            harmonic_extension(hook, 2, (F(1), F(0), F(0)), method="recursive")
+        auto = harmonic_extension(hook, 2, (F(1), F(0), F(0)))
+        direct = harmonic_extension(hook, 2, (F(1), F(0), F(0)), method="direct")
+        assert auto.values == direct.values
+
+    @pytest.mark.parametrize("name", ["sg", "segment", "sg2", "hook"])
+    def test_rule_exact_matches_renorm(self, request, sg, name):
+        ifs = compose(sg, sg) if name == "sg2" else request.getfixturevalue(name)
+        assert _extension_rule(ifs).exact == renorm_factor(ifs).exact
 
     def test_segment_extension_is_linear(self, segment):
         for m in range(4):
