@@ -1,14 +1,14 @@
 """Discrete Dirichlet-form machinery on level graphs.
 
 Harmonic extension and exit times are exact rational linear algebra on
-the unweighted level-m graph; the heat-kernel diagonal is a float
+the unweighted level-m graph, solved as m one-level refinement steps of
+the cell problem; the heat-kernel diagonal is a float
 power-iteration of the lazy walk; the decay-condition checker evaluates
 the tail integral required for the walk-dimension identification.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import FitError
 from .ifs import IfsSpec, ensure_valid
-from .levelgraph import LevelGraph, build_level_graph, vertex_measure_weights
-from .network import _adjacency, _eliminate
+from .levelgraph import LevelGraph, _check_level, build_level_graph, vertex_measure_weights
+from .network import _adjacency, _back_substitute, _eliminate, _refine, unit_complete_network
 from .rational import as_fraction, format_rational
 
 Value = Union[Fraction, float]
@@ -51,61 +51,28 @@ def solve_weighted_laplacian(
     no path to anywhere (singular block).
     """
     adj = _adjacency(vertex_count, edges)
-    load: dict[int, Value] = {v: rhs.get(v, 0) for v in range(vertex_count)}
+    load: list[Value] = [rhs.get(v, 0) for v in range(vertex_count)]
     order = _eliminate(adj, set(range(vertex_count)) - set(fixed), load)
     values: list[Optional[Value]] = [None] * vertex_count
     for v, x in fixed.items():
         values[v] = x
-    for v, star, d, lv in reversed(order):
-        acc = lv
-        for w, c in star:
-            acc = acc + c * values[w]
-        values[v] = acc / d
-    return values  # type: ignore[return-value]
+    return _back_substitute(order, values)  # type: ignore[return-value]
 
 
-def _unit_edges(g: LevelGraph) -> dict[tuple[int, int], Fraction]:
-    return {e: Fraction(1) for e in g.edges}
+def _unit_levels(ifs: IfsSpec, m: int) -> list[tuple]:
+    """(trace on V0, load left on V0, V0 -> V1 interpolation matrix) of
+    the unit level-j problem, j = 0..m, each corner of the unit complete
+    level-0 network loaded by its degree.
 
-
-@dataclass(frozen=True)
-class _ExtensionRule:
-    """Per-refinement harmonic interpolation: level-1 vertex values as
-    exact linear combinations of the k cell corner values.
-
-    exact: the trace of the unit level-1 network on V0 is uniform, i.e.
-    the unit network is a fixed direction of renormalization; then the
-    rule iterates to the level-m minimizer at every depth."""
-
-    graph1: LevelGraph
-    matrix: tuple[tuple[Fraction, ...], ...]  # |V1| x k
-    exact: bool
-
-
-@functools.lru_cache(maxsize=256)
-def _extension_rule(ifs: IfsSpec) -> _ExtensionRule:
-    g1 = build_level_graph(ifs, 1)
+    The level-j graph is one copy of the level-(j-1) graph per map, glued
+    at cell corners (cells meet only there), so one refinement step takes
+    level j-1 to level j.  Level 0 has no matrix."""
     k = len(ifs.boundary)
-    bidx = g1.boundary_indices()
-    edges = _unit_edges(g1)
-    cols: list[list[Fraction]] = []
-    for b in range(k):
-        fixed = {bidx[a]: Fraction(1 if a == b else 0) for a in range(k)}
-        col = solve_weighted_laplacian(g1.vertex_count, edges, {}, fixed)
-        cols.append(col)
-    matrix = tuple(
-        tuple(cols[b][v] for b in range(k)) for v in range(g1.vertex_count)
-    )
-    # trace conductance between corners a != b: -E(h_a, h_b)
-    trace = {
-        -sum(
-            ((cols[a][i] - cols[a][j]) * (cols[b][i] - cols[b][j]) for i, j in g1.edges),
-            start=Fraction(0),
-        )
-        for a in range(k)
-        for b in range(a + 1, k)
-    }
-    return _ExtensionRule(g1, matrix, len(trace) == 1)
+    levels = [(unit_complete_network(k), (Fraction(k - 1),) * k, None)]
+    for _ in range(m):
+        trace, load, _ = levels[-1]
+        levels.append(_refine(ifs, trace, load))
+    return levels
 
 
 def harmonic_extension(
@@ -117,12 +84,10 @@ def harmonic_extension(
     """The unique minimizer of the level-m graph energy among functions
     with the given V0 values; exact for rational data.
 
-    method: "auto" takes cell recursion when the one-level rule is exact
-    (the system's unit network is renormalization-fixed, as for all
-    shipped presets), else the direct sparse elimination solve;
-    "direct" forces the solve, and "recursive" forces cell recursion and
-    raises ValueError for a system whose rule is not exact, where the
-    recursion would miss the minimizer.
+    method: "auto" and "recursive" interpolate cell by cell, a cell of
+    depth d by the harmonic interpolation matrix of the level-(m-d) unit
+    problem (Kigami's harmonic extension matrices); "direct" solves the
+    level-m graph by sparse elimination, the reference route.
     """
     ensure_valid(ifs)
     k = len(ifs.boundary)
@@ -131,34 +96,27 @@ def harmonic_extension(
     if method not in ("auto", "recursive", "direct"):
         raise ValueError("method must be auto, recursive, or direct")
     vals = [as_fraction(v) if not isinstance(v, float) else v for v in boundary_values]
-    rule = None if method == "direct" else _extension_rule(ifs)
-    if method == "recursive" and not rule.exact:
-        raise ValueError(
-            f"the unit network of {ifs.name!r} is not renormalization-fixed, "
-            'so cell recursion misses the minimizer; use method="direct"'
-        )
     graph = build_level_graph(ifs, m)
 
-    if rule is None or not rule.exact:
+    if method == "direct":
         bidx = graph.boundary_indices()
         fixed = {bidx[a]: vals[a] for a in range(k)}
-        solution = solve_weighted_laplacian(
-            graph.vertex_count, _unit_edges(graph), {}, fixed
-        )
+        edges = {e: Fraction(1) for e in graph.edges}
+        solution = solve_weighted_laplacian(graph.vertex_count, edges, {}, fixed)
         return GraphFunction(graph, tuple(solution))
 
     # corner values per cell, one level at a time; with n maps, child d
     # of cell c is cell c*n + d, the order build_level_graph emits
-    g1, h = rule.graph1, rule.matrix
+    cells1 = build_level_graph(ifs, 1).cells
     corners: list[list[Value]] = [vals]
-    for _ in range(m):
+    for _, _, h in reversed(_unit_levels(ifs, m)[1:]):
         children: list[list[Value]] = []
         for cell in corners:
             local = [
                 sum((row[b] * cell[b] for b in range(k)), start=Fraction(0))
                 for row in h
             ]
-            children.extend([local[v] for v in sub] for sub in g1.cells)
+            children.extend([local[v] for v in sub] for sub in cells1)
         corners = children
     values: list[Optional[Value]] = [None] * graph.vertex_count
     for cell, cell_values in zip(graph.cells, corners):
@@ -212,6 +170,10 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
     """Exact expected steps for the simple walk started at boundary
     vertex `start` to hit the rest of V0, for each level m <= m_max.
 
+    Eliminating the level-m interior with each vertex loaded by its
+    degree leaves the trace C_m and load l_m on V0; the expected steps
+    are then l_m(start) / sum_b C_m(start, b).
+
     beta_hat = log(last ratio)/log(1/ratio): the time-scaling estimate
     of the walk dimension.
     """
@@ -219,24 +181,11 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
     k = len(ifs.boundary)
     if not (0 <= start < k):
         raise ValueError(f"start must index a boundary vertex (0..{k - 1})")
+    _check_level(ifs, m_max)
     rows: list[tuple[int, Fraction]] = []
-    for m in range(m_max + 1):
-        g = build_level_graph(ifs, m)
-        bidx = g.boundary_indices()
-        absorbing = {bidx[a]: Fraction(0) for a in range(k) if a != start}
-        degrees: dict[int, Fraction] = {}
-        for i, j in g.edges:
-            degrees[i] = degrees.get(i, Fraction(0)) + 1
-            degrees[j] = degrees.get(j, Fraction(0)) + 1
-        rhs = {
-            v: degrees.get(v, Fraction(0))
-            for v in range(g.vertex_count)
-            if v not in absorbing
-        }
-        solution = solve_weighted_laplacian(
-            g.vertex_count, _unit_edges(g), rhs, absorbing
-        )
-        rows.append((m, as_fraction(solution[bidx[start]])))
+    for m, (trace, load, _) in enumerate(_unit_levels(ifs, m_max)):
+        conductance = sum(trace.edge(start, b) for b in range(k) if b != start)
+        rows.append((m, load[start] / conductance))
     ratios = tuple(
         rows[i][1] / rows[i - 1][1] for i in range(1, len(rows)) if rows[i - 1][1] != 0
     )

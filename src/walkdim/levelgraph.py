@@ -74,20 +74,22 @@ class LevelGraph:
         return adj
 
 
+def _check_level(ifs: IfsSpec, m: int) -> None:
+    """Refuse a negative level, or one with more cells than the budget."""
+    if m < 0:
+        raise ValueError("level must be >= 0")
+    cells, budget = len(ifs.maps) ** m, cell_budget()
+    if cells > budget:
+        raise BudgetExceeded(cells, budget, "cells", "lower the level or raise WALKDIM_BUDGET")
+
+
 def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     """Enumerate all length-m cells, glue identical rational points.
 
     Level 0 is the complete graph on the boundary set.
     """
     ensure_valid(ifs)
-    if m < 0:
-        raise ValueError("level must be >= 0")
-    n = len(ifs.maps)
-    budget = cell_budget()
-    if n ** m > budget:
-        raise BudgetExceeded(
-            n ** m, budget, "cells", "lower the level or raise WALKDIM_BUDGET"
-        )
+    _check_level(ifs, m)
 
     cells_pts: list[tuple[Point, ...]] = [tuple(ifs.boundary)]
     for _ in range(m):

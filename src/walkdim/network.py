@@ -101,7 +101,7 @@ def _adjacency(
 def _eliminate(
     adj: list[dict[int, Conductance]],
     vertices: Iterable[int],
-    load: Optional[dict[int, Conductance]] = None,
+    load: Optional[list[Conductance]] = None,
 ) -> list[tuple]:
     """Star-mesh elimination of `vertices` from `adj`, in place, least
     degree first (lowest index on ties); `adj` is left holding the Schur
@@ -136,6 +136,32 @@ def _eliminate(
     return order
 
 
+def _back_substitute(order: list[tuple], values: list, loaded: bool = True) -> list:
+    """Fill in the vertices eliminated in `order`, last step first: each
+    takes the conductance-weighted mean of its star, plus its load over
+    the star's total conductance when `loaded`."""
+    for v, star, d, lv in reversed(order):
+        acc = lv if loaded else 0
+        for w, c in star:
+            acc = acc + c * values[w]
+        values[v] = acc / d
+    return values
+
+
+def _boundary_trace(
+    adj: list[dict[int, Conductance]], boundary: tuple[int, ...]
+) -> ConductanceNetwork:
+    """The network `adj` leaves on `boundary`, re-indexed to boundary order."""
+    remap = {old: new for new, old in enumerate(boundary)}
+    edges: dict[Edge, Conductance] = {}
+    for old_i, new_i in remap.items():
+        for old_j, c in adj[old_i].items():
+            new_j = remap[old_j]
+            if new_i < new_j:
+                edges[(new_i, new_j)] = c
+    return ConductanceNetwork(len(boundary), edges, tuple(range(len(boundary))))
+
+
 def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
     """Eliminate all interior vertices by star-mesh steps.
 
@@ -146,14 +172,7 @@ def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
     """
     adj = _adjacency(net.vertex_count, net.conductances)
     _eliminate(adj, net.interior)
-    remap = {old: new for new, old in enumerate(net.boundary)}
-    edges: dict[Edge, Conductance] = {}
-    for old_i, new_i in remap.items():
-        for old_j, c in adj[old_i].items():
-            new_j = remap[old_j]
-            if new_i < new_j:
-                edges[(new_i, new_j)] = c
-    return ConductanceNetwork(len(net.boundary), edges, tuple(range(len(net.boundary))))
+    return _boundary_trace(adj, net.boundary)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -252,6 +271,33 @@ def replicate(ifs: IfsSpec, cell_net: ConductanceNetwork) -> ConductanceNetwork:
             key = (i, j) if i < j else (j, i)
             edges[key] = edges.get(key, 0) + c
     return ConductanceNetwork(g1.vertex_count, edges, g1.boundary_indices())
+
+
+def _refine(
+    ifs: IfsSpec, cell_net: ConductanceNetwork, cell_load: tuple[Conductance, ...]
+) -> tuple[ConductanceNetwork, tuple[Conductance, ...], tuple[tuple, ...]]:
+    """One refinement step of a cell problem: one copy of `cell_net` per
+    map, each carrying `cell_load` on its corners, with the level-1
+    interior eliminated once.
+
+    Returns the trace on V0, the load left on V0, and the V0 -> V1
+    harmonic interpolation matrix (one row of k corner weights per
+    level-1 vertex), read by a load-free back-substitution."""
+    net = replicate(ifs, cell_net)
+    load: list[Conductance] = [0] * net.vertex_count
+    for cell in build_level_graph(ifs, 1).cells:
+        for v, x in zip(cell, cell_load):
+            load[v] = load[v] + x
+    adj = _adjacency(net.vertex_count, net.conductances)
+    order = _eliminate(adj, net.interior, load)
+    cols = []
+    for b in net.boundary:
+        col: list = [None] * net.vertex_count
+        for a in net.boundary:
+            col[a] = Fraction(a == b)
+        cols.append(_back_substitute(order, col, loaded=False))
+    matrix = tuple(zip(*cols))
+    return _boundary_trace(adj, net.boundary), tuple(load[a] for a in net.boundary), matrix
 
 
 @dataclass(frozen=True)

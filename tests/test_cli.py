@@ -127,15 +127,15 @@ class TestHarmonic:
         assert rc == 2
         assert payload["error"] == "config"
 
-    def test_forced_recursion_refused(self, capsys, tmp_path, hook):
+    def test_recursive_equals_direct_on_hook(self, capsys, tmp_path, hook):
         path = tmp_path / "hook.json"
         path.write_text(json.dumps(hook.to_json()))
-        rc, payload = run(
-            capsys, "harmonic", str(path), "-m", "2", "--method", "recursive"
-        )
-        assert rc == 1
-        assert payload["error"] == "value"
-        assert 'method="direct"' in payload["detail"]
+        payloads = []
+        for method in ("recursive", "direct"):
+            rc, payload = run(capsys, "harmonic", str(path), "-m", "2", "--method", method)
+            assert rc == 0
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
 
 class TestCut:
@@ -173,6 +173,11 @@ class TestExitAndHeat:
         assert rc == 0
         assert payload["expected_steps"][3]["value"] == "64"
         assert payload["beta_hat"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_exit_fit_negative_level(self, capsys):
+        rc, payload = run(capsys, "exit-fit", "sg", "-m", "-1")
+        assert rc == 1
+        assert payload["error"] == "value"
 
     def test_heat_fit_small(self, capsys):
         rc, payload = run(

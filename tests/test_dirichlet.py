@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walkdim.dirichlet
+import walkdim.network
 from oracles import dense_laplacian, exit_time_float, solve_dense
 from walkdim.dirichlet import (
     GraphFunction,
-    _extension_rule,
     decay_condition_check,
     deep_interior_vertex,
     default_time_grid,
@@ -18,10 +19,9 @@ from walkdim.dirichlet import (
     heat_kernel_diag,
     solve_weighted_laplacian,
 )
-from walkdim.errors import FitError, ReductionError
+from walkdim.errors import BudgetExceeded, FitError, ReductionError
 from walkdim.ifs import compose
 from walkdim.levelgraph import build_level_graph
-from walkdim.network import renorm_factor
 
 F = Fraction
 
@@ -131,19 +131,23 @@ class TestHarmonicExtension:
         ud = harmonic_extension(segment, m, vals, method="direct")
         assert ur.values == ud.values
 
-    def test_forced_recursion_refused_when_rule_inexact(self, hook):
-        # cell recursion would give unit energy 0.34826 at level 2, above
-        # the true minimum 0.33962 of the direct solve
-        with pytest.raises(ValueError, match='method="direct"'):
-            harmonic_extension(hook, 2, (F(1), F(0), F(0)), method="recursive")
-        auto = harmonic_extension(hook, 2, (F(1), F(0), F(0)))
-        direct = harmonic_extension(hook, 2, (F(1), F(0), F(0)), method="direct")
-        assert auto.values == direct.values
+    @pytest.mark.parametrize("corner", [0, 1, 2])
+    def test_recursive_matches_direct_hook(self, hook, corner):
+        # the hook's unit network is not renormalization-fixed, so each
+        # depth needs its own level's interpolation matrix
+        vals = tuple(F(int(a == corner)) for a in range(3))
+        for m in range(5):
+            ur = harmonic_extension(hook, m, vals, method="recursive")
+            ud = harmonic_extension(hook, m, vals, method="direct")
+            assert ur.values == ud.values
 
-    @pytest.mark.parametrize("name", ["sg", "segment", "sg2", "hook"])
-    def test_rule_exact_matches_renorm(self, request, sg, name):
-        ifs = compose(sg, sg) if name == "sg2" else request.getfixturevalue(name)
-        assert _extension_rule(ifs).exact == renorm_factor(ifs).exact
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_recursive_matches_direct_composed(self, sg, m):
+        sg2 = compose(sg, sg)
+        vals = (F(1), F(2, 3), F(-1, 5))
+        ur = harmonic_extension(sg2, m, vals, method="recursive")
+        ud = harmonic_extension(sg2, m, vals, method="direct")
+        assert ur.values == ud.values
 
     def test_segment_extension_is_linear(self, segment):
         for m in range(4):
@@ -246,9 +250,44 @@ class TestExitTimes:
         want = exit_time_float(g.vertex_count, edges, absorbing, bidx[0])
         assert float(rep.rows[3][1]) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_hook_matches_level_solve(self, hook, start):
+        rep = exit_time_profile(hook, 4, start=start)
+        for m, steps in rep.rows:
+            g = build_level_graph(hook, m)
+            bidx = g.boundary_indices()
+            absorbing = {bidx[a]: F(0) for a in range(3) if a != start}
+            degree = [0] * g.vertex_count
+            for i, j in g.edges:
+                degree[i] += 1
+                degree[j] += 1
+            rhs = {v: F(degree[v]) for v in range(g.vertex_count) if v not in absorbing}
+            edges = {e: F(1) for e in g.edges}
+            u = solve_weighted_laplacian(g.vertex_count, edges, rhs, absorbing)
+            assert steps == u[bidx[start]]
+
     def test_bad_start_rejected(self, sg):
         with pytest.raises(ValueError):
             exit_time_profile(sg, 1, start=3)
+
+    def test_negative_level_rejected(self, sg):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            exit_time_profile(sg, -1)
+
+    def test_budget_refused_before_any_elimination(self, sg, monkeypatch):
+        calls = []
+        real = walkdim.network._eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(walkdim.network, "_eliminate", counting)
+        monkeypatch.setattr(walkdim.dirichlet, "_eliminate", counting)
+        monkeypatch.setenv("WALKDIM_BUDGET", "30")
+        with pytest.raises(BudgetExceeded, match="WALKDIM_BUDGET"):
+            exit_time_profile(sg, 4)
+        assert calls == []
 
     def test_json_shape(self, sg):
         payload = exit_time_profile(sg, 2).to_json()
