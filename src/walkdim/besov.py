@@ -9,10 +9,10 @@ enumerates its point pairs once, with one k-d query at its largest
 radius, and keeps each radius's open-ball pairs by a mask on the squared
 distances.
 
-Float geometry here is exact for the shipped systems: vertex and sample
-coordinates are dyadic rationals, so squared distances and dyadic radii
-are represented without rounding and the open-ball test d^2 < r^2 is
-decided exactly.
+The float open-ball test d^2 < r^2 is exact when no lattice distance
+lies within rounding of r: always for dyadic coordinates and radii, and
+for dyadic radii on the hook's 3^-m lattice; but there a custom radius
+1/3 counts some pairs at distance exactly 1/3 as inside.
 """
 
 from __future__ import annotations
@@ -183,7 +183,8 @@ def besov_functional(
     the open ball of radius r and divides by the empirical ball volume
     (x itself always counts, so volumes never vanish); the outer sum is
     w_x-weighted.  Radii with no point pairs are kept but flagged via
-    pair_count = 0.
+    pair_count = 0.  r_grid (default dyadic_grid()): see the module
+    docstring for when its open balls are exact.
     """
     pts, w = _cloud(source)
     _check_pair_budget(len(pts))
@@ -245,6 +246,7 @@ def critical_exponent_fit(
 
     For a critical witness (harmonic or coordinate function) the slope
     estimates the Besov critical exponent, matching the walk dimension.
+    r_grid has besov_functional's exactness limit.
     """
     r_min, r_max = r_window
     if not (0 < r_min < r_max < 1):
@@ -323,7 +325,8 @@ def alfors_check(
     subset of centers.  The two-sided constant bounds the ratio above
     and below; the drift (largest-to-smallest mean ratio across scales)
     flags a misspecified exponent, which bends the ratios geometrically
-    in r.
+    in r.  r_grid (default 2^-j, 1 <= j <= 6): see the module docstring
+    for when its open balls are exact.
     """
     pts, w = _cloud(source)
     radii = tuple(r_grid) if r_grid is not None else tuple(2.0 ** -j for j in range(1, 7))
@@ -338,7 +341,7 @@ def alfors_check(
         centers = np.arange(0, len(pts), stride)[:max_centers]
         center_w = np.full(len(centers), 1.0 / len(centers))
         # open ball: shrink the query radius to just below r; exact
-        # for dyadic coordinates whose distance gaps dwarf one ulp
+        # when no lattice distance lies within rounding of r
         volumes_by_radius = (
             tree.query_ball_point(pts[centers], np.nextafter(r, 0.0), return_length=True)
             * w[0]
@@ -479,7 +482,8 @@ def pushforward_check(
     with C the bi-Lipschitz constant and C' = C^(2 alpha), at every grid
     radius, and (iii) agreement of the critical-exponent fits computed
     independently on source and image clouds.  u must live on a level
-    graph of `ifs`; ValueError otherwise.
+    graph of `ifs`; ValueError otherwise.  r_grid has
+    besov_functional's exactness limit.
     """
     graph = u.graph
     if ifs != graph.ifs:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,24 +313,38 @@ class MeasureSample:
         return np.array([[float(x), float(y)] for x, y in self.points])
 
 
+def _lattice(ifs: IfsSpec):
+    """(p, q, d, T, B): ratio p/q; d = lcm of all translation and boundary
+    denominators; T[i] = t_i*d; B = boundary*d.  F_w(b) with |w| = j is
+    A/(q^j*d), A an integer pair; outer digit i maps A to p*A + q^(j+1)*T[i]."""
+    pts = [m.translation for m in ifs.maps] + list(ifs.boundary)
+    d = math.lcm(*(c.denominator for pt in pts for c in pt))
+    scaled = [tuple(int(c * d) for c in pt) for pt in pts]
+    n = len(ifs.maps)
+    return ifs.ratio.numerator, ifs.ratio.denominator, d, scaled[:n], tuple(scaled[n:])
+
+
 def sample_measure(
     ifs: IfsSpec, depth: int, count: int, seed: int = 42
 ) -> MeasureSample:
     """count i.i.d. points F_{w1} o ... o F_{w_depth}(x0), x0 = first
-    boundary vertex, digits uniform; deterministic in seed."""
+    boundary vertex, digits uniform; deterministic in seed.  Composed on
+    integer numerators (_lattice), one Fraction per coordinate at the end."""
     ensure_valid(ifs)
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be >= 1")
     rng = random.Random(seed)
     n = len(ifs.maps)
-    x0 = ifs.boundary[0]
+    p, q, d, T, B = _lattice(ifs)
+    q_powers = [q ** (j + 1) for j in range(depth)]
+    den = q_powers[-1] * d
     pts: list[Point] = []
     for _ in range(count):
         word = [rng.randrange(n) for _ in range(depth)]
-        x = x0
-        for digit in reversed(word):
-            x = ifs.maps[digit].apply(x)
-        pts.append(x)
+        ax, ay = B[0]
+        for qj, digit in zip(q_powers, reversed(word)):
+            ax, ay = p * ax + qj * T[digit][0], p * ay + qj * T[digit][1]
+        pts.append((Fraction(ax, den), Fraction(ay, den)))
     return MeasureSample(tuple(pts), depth, seed)
 
 

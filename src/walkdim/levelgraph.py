@@ -3,7 +3,10 @@
 Vertices are exact rational points (identity = exact equality, so cell
 gluing never false-merges); the edge relation joins images of distinct
 boundary vertices under the same length-m word.  Vertex order is
-canonical (lexicographic), making graph builds reproducible.
+canonical (lexicographic), making graph builds reproducible.  Gluing
+and sorting run on integer numerators over the level's denominator
+q^m*d (ifs._lattice), which keep that order; each vertex becomes a
+Fraction once.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from ._geometry import Point
 from .errors import BudgetExceeded, WalkdimError
-from .ifs import IfsSpec, ensure_valid
+from .ifs import IfsSpec, _lattice, ensure_valid
 from .rational import format_rational
 
 DEFAULT_CELL_BUDGET = 10 ** 6
@@ -91,32 +95,24 @@ def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     ensure_valid(ifs)
     _check_level(ifs, m)
 
-    cells_pts: list[tuple[Point, ...]] = [tuple(ifs.boundary)]
-    for _ in range(m):
+    p, q, d, T, B = _lattice(ifs)
+    cells_pts = [B]
+    for j in range(m):
+        qj = q ** (j + 1)
         cells_pts = [
-            tuple(mp.apply(p) for p in cell)
-            for mp in ifs.maps
+            tuple((p * ax + qj * tx, p * ay + qj * ty) for ax, ay in cell)
+            for tx, ty in T
             for cell in cells_pts
         ]
 
-    index: dict[Point, int] = {}
-    for cell in cells_pts:
-        for p in cell:
-            if p not in index:
-                index[p] = 0
-    ordered = sorted(index)
-    index = {p: i for i, p in enumerate(ordered)}
+    ordered = sorted({pt for cell in cells_pts for pt in cell})
+    index = {pt: i for i, pt in enumerate(ordered)}
+    den = q ** m * d
+    vertices = tuple((Fraction(ax, den), Fraction(ay, den)) for ax, ay in ordered)
 
-    cells = tuple(tuple(index[p] for p in cell) for cell in cells_pts)
-    edge_set: set[tuple[int, int]] = set()
-    for cell in cells:
-        k = len(cell)
-        for a in range(k):
-            for b in range(a + 1, k):
-                i, j = cell[a], cell[b]
-                edge_set.add((i, j) if i < j else (j, i))
-    edges = tuple(sorted(edge_set))
-    return LevelGraph(ifs, m, tuple(ordered), edges, cells)
+    cells = tuple(tuple(index[pt] for pt in cell) for cell in cells_pts)
+    edges = tuple(sorted({tuple(sorted(e)) for c in cells for e in combinations(c, 2)}))
+    return LevelGraph(ifs, m, vertices, edges, cells)
 
 
 def components_after_removal(g: LevelGraph, removed: list[Point]) -> int:

@@ -1,8 +1,22 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from walkdim.ifs import IfsSpec, Similitude, preset
+from walkdim.ifs import IfsSpec, Similitude, compose, load_system, preset
+
+REPO = Path(__file__).resolve().parent.parent
+
+# The hook moved right by 1/2: translations in thirds, boundary in
+# halves, so the lattice denominator d = 6 needs the boundary's 2.
+SHIFTED_HOOK = {
+    "name": "shifted-hook",
+    "maps": [
+        {"ratio": "1/3", "translate": [x, y]}
+        for x, y in [("1/3", "0"), ("2/3", "0"), ("1", "0"), ("1/3", "1/3"), ("1/3", "2/3")]
+    ],
+    "boundary": [["1/2", "0"], ["3/2", "0"], ["1/2", "1"]],
+}
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +40,17 @@ def hook():
         tuple(Similitude(third, (Fraction(x), Fraction(y))) for x, y in offsets),
         ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
     )
+
+
+@pytest.fixture(scope="session")
+def lattice_systems(sg, segment):
+    """Systems whose lattice arithmetic the oracle tests cover: dyadic,
+    one-dimensional, ternary (bench/hook.json), a composition, and a
+    boundary denominator the translations lack."""
+    return {
+        "sg": sg,
+        "segment": segment,
+        "hook": load_system(str(REPO / "bench" / "hook.json")),
+        "sg2": compose(sg, sg),
+        "shifted-hook": IfsSpec.from_json(SHIFTED_HOOK),
+    }

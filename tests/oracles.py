@@ -3,15 +3,56 @@
 Everything here deliberately uses a different algorithm from the
 package: dense Gaussian elimination instead of star-mesh reduction,
 O(n^2) double loops instead of tree-accelerated pair scans, float
-linear solves instead of exact back-substitution.  Slow and obvious on
-purpose.
+linear solves instead of exact back-substitution, Fraction similitudes
+composed word by word instead of integer lattice numerators.  Slow and
+obvious on purpose.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
+
+
+def sample_measure_wordwise(ifs, depth: int, count: int, seed: int = 42):
+    """The points F_{w1} o ... o F_{w_depth}(x0) of sample_measure, one
+    Similitude.apply per digit, from the same digit stream."""
+    rng = random.Random(seed)
+    n = len(ifs.maps)
+    pts = []
+    for _ in range(count):
+        word = [rng.randrange(n) for _ in range(depth)]
+        x = ifs.boundary[0]
+        for digit in reversed(word):
+            x = ifs.maps[digit].apply(x)
+        pts.append(x)
+    return tuple(pts)
+
+
+def level_graph_wordwise(ifs, m: int):
+    """(vertices, edges, cells) of the level-m graph: compose the
+    similitude F_w of every word (cell w1...wm has index w1...wm in
+    base N), apply it to the boundary, glue equal Fraction points."""
+    words = [None]  # None is the empty word, the identity
+    for _ in range(m):
+        words = [f if w is None else f.after(w) for f in ifs.maps for w in words]
+    cells_pts = [
+        tuple(ifs.boundary) if w is None else tuple(w.apply(b) for b in ifs.boundary)
+        for w in words
+    ]
+    distinct = {p for cell in cells_pts for p in cell}
+    # exact lexicographic order, via integer keys over one common denominator
+    den = math.lcm(*(c.denominator for p in distinct for c in p))
+    vertices = tuple(
+        sorted(distinct, key=lambda p: tuple(c.numerator * (den // c.denominator) for c in p))
+    )
+    index = {p: i for i, p in enumerate(vertices)}
+    cells = tuple(tuple(index[p] for p in cell) for cell in cells_pts)
+    edges = tuple(sorted({(min(a, b), max(a, b)) for c in cells for a in c for b in c if a != b}))
+    return vertices, edges, cells
 
 
 def dense_laplacian(n: int, edges: dict[tuple[int, int], Fraction]):
@@ -143,6 +184,19 @@ def ball_volumes_brute(pts: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
                 vols[i] += w[j]
                 vols[j] += w[i]
     return vols
+
+
+def open_ball_counts_exact(points, r: float) -> np.ndarray:
+    """Per point, how many other points lie in its open ball of radius r
+    (the exact value of the float r), decided on integer numerators over
+    one common denominator: no coordinate, distance or radius rounds."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    xy = np.array([[int(c * den) for c in p] for p in points], dtype=np.int64)
+    assert np.abs(xy).max() < 2 ** 30, "squared distances would overflow int64"
+    bound = Fraction(r) ** 2 * den ** 2  # d2 < bound  <=>  d2 <= ceil(bound) - 1
+    limit = -(-bound.numerator // bound.denominator) - 1
+    d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
+    return (d2 <= limit).sum(axis=1) - 1
 
 
 def open_ball_pairs_brute(pts: np.ndarray, r: float) -> list[tuple[int, int]]:

@@ -372,6 +372,25 @@ class TestOutputFiles:
         assert payload["error"] == "file"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        ("besov-fit sg --sample 4000 --function x --seed 7", "besov_fit_sg_sample4000_x_seed7.out"),
+        ("graph sg -m 3", "graph_sg_m3.out"),
+        ("harmonic bench/hook.json -m 3", "harmonic_hook_m3.out"),
+    ],
+)
+def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
+    """Sampling and graph building reproduce the Fraction-by-Fraction
+    route's stdout byte for byte."""
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
 class TestDeterminism:
     def test_stdout_byte_identical(self, capsys):
         for args in (

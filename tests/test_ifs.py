@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sample_measure_wordwise
 from walkdim._geometry import point_in_hull
 from walkdim.errors import ValidationError
 from walkdim.ifs import (
     IfsSpec,
     Similitude,
+    _lattice,
     attractor_hull,
     compose,
     ensure_valid,
@@ -208,6 +210,22 @@ class TestSampling:
     def test_float_points_shape(self, sg):
         s = sample_measure(sg, depth=4, count=50, seed=0)
         assert s.float_points().shape == (50, 2)
+
+
+class TestLatticeSampling:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("depth", [1, 2, 12])
+    @pytest.mark.parametrize("name", ["sg", "segment", "hook", "sg2", "shifted-hook"])
+    def test_matches_wordwise_oracle(self, lattice_systems, name, depth, seed):
+        ifs = lattice_systems[name]
+        got = sample_measure(ifs, depth=depth, count=150, seed=seed).points
+        assert got == sample_measure_wordwise(ifs, depth, 150, seed)
+        assert all(type(c) is Fraction for p in got for c in p)
+
+    def test_boundary_denominator_enters_lattice(self, lattice_systems):
+        p, q, d, T, B = _lattice(lattice_systems["shifted-hook"])
+        assert (p, q, d) == (1, 3, 6)
+        assert T[0] == (2, 0) and B == ((3, 0), (9, 0), (3, 6))
 
 
 class TestSerialization:

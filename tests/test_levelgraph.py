@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import level_graph_wordwise
 from walkdim.errors import BudgetExceeded, WalkdimError
 from walkdim.ifs import compose
 from walkdim.levelgraph import (
@@ -76,6 +77,15 @@ class TestBuild:
         for u, nbrs in enumerate(adj):
             for v in nbrs:
                 assert u in adj[v]
+
+
+class TestLatticeGluing:
+    @pytest.mark.parametrize("m", range(0, 6))
+    @pytest.mark.parametrize("name", ["sg", "segment", "hook", "sg2", "shifted-hook"])
+    def test_matches_wordwise_oracle(self, lattice_systems, name, m):
+        g = build_level_graph(lattice_systems[name], m)
+        assert (g.vertices, g.edges, g.cells) == level_graph_wordwise(g.ifs, m)
+        assert all(type(c) is Fraction for p in g.vertices for c in p)
 
 
 class TestBudget:
