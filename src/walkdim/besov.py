@@ -7,7 +7,7 @@ exponent recovers the walk dimension.  Point clouds come from level
 graphs (exact weights) or measure samples (uniform weights).  A scan
 enumerates its point pairs once, with one k-d query at its largest
 radius, and keeps each radius's open-ball pairs by a mask on the squared
-distances.
+distances; the pushforward audit makes one such scan per cloud.
 
 The float open-ball test d^2 < r^2 is exact when no lattice distance
 lies within rounding of r: always for dyadic coordinates and radii, and
@@ -18,9 +18,10 @@ for dyadic radii on the hook's 3^-m lattice; but there a custom radius
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -79,6 +80,16 @@ def _function_values(source: PointSource, u) -> np.ndarray:
     return arr
 
 
+def _radius_grid(r_grid: Optional[Sequence[float]]) -> tuple:
+    """The scan radii (default dyadic_grid()), each checked to lie in (0,1)."""
+    radii = tuple(r_grid) if r_grid is not None else dyadic_grid()
+    if not radii:
+        raise ValueError("empty radius grid")
+    if not all(0 < r < 1 for r in radii):
+        raise ValueError("radii must lie in (0,1)")
+    return radii
+
+
 def _pairs_by_radius(
     points: np.ndarray, radii: Sequence[float]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -87,9 +98,12 @@ def _pairs_by_radius(
 
     The canonical order makes accumulation independent of how the tree
     enumerates pairs; a masked subset of a sorted list stays sorted, so
-    every radius sees its pairs in that order.
+    every radius sees its pairs in that order.  This is the only place
+    that allocates pairs, so it checks the pair-scan limit before the
+    k-d query.
     """
     n = len(points)
+    _check_pair_budget(n)
     pairs = cKDTree(points).query_pairs(max(radii), output_type="ndarray")
     i, j = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
     del pairs  # this frame lives until the last radius is yielded
@@ -101,28 +115,30 @@ def _pairs_by_radius(
 
 
 def _ball_sums(
-    pts: np.ndarray,
     w: np.ndarray,
-    radii: Sequence[float],
+    scan: Iterable[tuple[np.ndarray, np.ndarray]],
     vals: Optional[np.ndarray] = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Per radius, in the given order: sums over the open balls B(x, r)
-    of every point x.
+) -> Iterator[tuple[np.ndarray, float, int]]:
+    """Per radius of a _pairs_by_radius scan: sums over the open balls
+    B(x, r) of every point x.
 
     Yields the ball volumes (w_x plus w_y over the ball: x always counts,
-    so volumes never vanish), the oscillation sums of w_y*(u(x)-u(y))^2
-    (zeros when vals is None), and the number of pairs x != y in a ball.
+    so volumes never vanish), the raw oscillation (the w_x-weighted sum
+    over x of the ball's w_y*(u(x)-u(y))^2 divided by its volume; 0 when
+    vals is None), and the number of pairs x != y in a ball.
     """
-    for i, j in _pairs_by_radius(pts, radii):
+    for i, j in scan:
         volume = w.copy()
-        osc = np.zeros(len(pts))
         np.add.at(volume, i, w[j])
         np.add.at(volume, j, w[i])
+        raw = 0.0
         if vals is not None:
+            osc = np.zeros(len(w))
             diff2 = (vals[i] - vals[j]) ** 2
             np.add.at(osc, i, w[j] * diff2)
             np.add.at(osc, j, w[i] * diff2)
-        yield volume, osc, len(i)
+            raw = float(np.sum(w * osc / volume))
+        yield volume, raw, len(i)
 
 
 @dataclass(frozen=True)
@@ -157,17 +173,7 @@ class BesovScan:
             "supremum": self.supremum,
             "l2_norm": self.l2_norm,
             "norm_sigma2": self.norm_sigma2,
-            "rows": [
-                {
-                    "r": row.r,
-                    "raw": row.raw,
-                    "scaled": row.scaled,
-                    "volume_min": row.volume_min,
-                    "volume_max": row.volume_max,
-                    "pair_count": row.pair_count,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
 
@@ -187,22 +193,14 @@ def besov_functional(
     docstring for when its open balls are exact.
     """
     pts, w = _cloud(source)
-    _check_pair_budget(len(pts))
     vals = _function_values(source, u)
-    radii = tuple(r_grid) if r_grid is not None else dyadic_grid()
-    if not radii:
-        raise ValueError("empty radius grid")
-    for r in radii:
-        if not (0 < r < 1):
-            raise ValueError("radii must lie in (0,1)")
+    radii = _radius_grid(r_grid)
     rows: list[BesovRow] = []
-    for r, (volume, osc, pairs) in zip(radii, _ball_sums(pts, w, radii, vals)):
-        raw = float(np.sum(w * osc / volume))
+    sums = _ball_sums(w, _pairs_by_radius(pts, radii), vals)
+    for r, (volume, raw, pairs) in zip(radii, sums):
         scaled = r ** (-2.0 * sigma) * raw
         rows.append(
-            BesovRow(
-                float(r), raw, scaled, float(volume.min()), float(volume.max()), pairs
-            )
+            BesovRow(float(r), raw, scaled, float(volume.min()), float(volume.max()), pairs)
         )
     usable = [row.scaled for row in rows if row.usable]
     supremum = max(usable) if usable else 0.0
@@ -236,6 +234,23 @@ class CriticalExponentEstimate:
         }
 
 
+def _fit(
+    radii: Sequence[float], raws: Iterable[float], window: tuple[float, float]
+) -> CriticalExponentEstimate:
+    """Log-log slope over the radii inside the window whose raw
+    oscillation is positive; FitError with fewer than four."""
+    r_min, r_max = window
+    usable = [(r, raw) for r, raw in zip(radii, raws) if raw > 0 and r_min <= r <= r_max]
+    if len(usable) < 4:
+        raise FitError(
+            f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4"
+        )
+    used, values = zip(*usable)
+    return CriticalExponentEstimate(
+        *_loglog_fit(used, values), (float(r_min), float(r_max)), used, values
+    )
+
+
 def critical_exponent_fit(
     source: PointSource,
     u,
@@ -257,21 +272,8 @@ def critical_exponent_fit(
         radii = dyadic_grid(max(1, j_min), j_max)
     else:
         radii = tuple(r_grid)
-    scan = besov_functional(source, u, sigma=0.0, r_grid=radii)
-    usable = [
-        row
-        for row in scan.rows
-        if row.usable and row.raw > 0 and r_min <= row.r <= r_max
-    ]
-    if len(usable) < 4:
-        raise FitError(
-            f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4"
-        )
-    radii = tuple(row.r for row in usable)
-    values = tuple(row.raw for row in usable)
-    return CriticalExponentEstimate(
-        *_loglog_fit(radii, values), (float(r_min), float(r_max)), radii, values
-    )
+    rows = besov_functional(source, u, sigma=0.0, r_grid=radii).rows
+    return _fit([row.r for row in rows], [row.raw for row in rows], r_window)
 
 
 @dataclass(frozen=True)
@@ -296,15 +298,7 @@ class AlforsReport:
             "constant": self.constant,
             "drift": self.drift,
             "flagged": self.flagged,
-            "rows": [
-                {
-                    "r": row.r,
-                    "ratio_min": row.ratio_min,
-                    "ratio_max": row.ratio_max,
-                    "ratio_mean": row.ratio_mean,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
 
@@ -320,14 +314,18 @@ def alfors_check(
 ) -> AlforsReport:
     """Empirical regularity diagnostics: V(x,r)/r^alpha across scales.
 
-    Every point contributes to the ball volumes; when the cloud exceeds
-    max_centers, the ratio is probed at an evenly strided deterministic
-    subset of centers.  The two-sided constant bounds the ratio above
-    and below; the drift (largest-to-smallest mean ratio across scales)
-    flags a misspecified exponent, which bends the ratios geometrically
-    in r.  r_grid (default 2^-j, 1 <= j <= 6): see the module docstring
-    for when its open balls are exact.
+    Every point contributes to the ball volumes.  On a uniform cloud (a
+    measure sample) larger than max_centers (>= 1; ValueError otherwise),
+    the ratio is probed at an evenly strided deterministic subset of
+    centers; a weighted cloud (a level graph) probes every vertex and is
+    bounded by the pair-scan limit instead.  The two-sided constant
+    bounds the ratio above and below; the drift (largest-to-smallest
+    mean ratio across scales) flags a misspecified exponent, which bends
+    the ratios geometrically in r.  r_grid (default 2^-j, 1 <= j <= 6):
+    see the module docstring for when its open balls are exact.
     """
+    if max_centers < 1:
+        raise ValueError("max_centers must be >= 1")
     pts, w = _cloud(source)
     radii = tuple(r_grid) if r_grid is not None else tuple(2.0 ** -j for j in range(1, 7))
     if not radii:
@@ -348,9 +346,10 @@ def alfors_check(
             for r in radii
         )
     else:
-        _check_pair_budget(len(pts))
         center_w = w
-        volumes_by_radius = (volume for volume, _, _ in _ball_sums(pts, w, radii))
+        volumes_by_radius = (
+            volume for volume, _, _ in _ball_sums(w, _pairs_by_radius(pts, radii))
+        )
     rows: list[AlforsRow] = []
     for r, volumes in zip(radii, volumes_by_radius):
         ratios = volumes / (r ** alpha)
@@ -406,18 +405,6 @@ class LipschitzMap:
         )
 
 
-def _pair_oscillation(
-    pts: np.ndarray, w: np.ndarray, vals: np.ndarray, radii: Sequence[float]
-) -> list[float]:
-    """Per radius: the double integral of (u(x)-u(y))^2 over open-ball
-    pairs (no volume normalization); the quantity the pushforward
-    inequality bounds.  Each pair counts in both orientations."""
-    return [
-        float(2.0 * np.sum(w[i] * w[j] * (vals[i] - vals[j]) ** 2))
-        for i, j in _pairs_by_radius(pts, radii)
-    ]
-
-
 @dataclass(frozen=True)
 class PushforwardRow:
     r: float
@@ -449,16 +436,7 @@ class PushforwardReport:
             "cprime_bound": self.cprime_bound,
             "cprime_observed": self.cprime_observed,
             "lp_ratios": self.lp_ratios,
-            "rows": [
-                {
-                    "r": row.r,
-                    "lhs": row.lhs,
-                    "rhs": row.rhs,
-                    "bound": row.bound,
-                    "ok": row.ok,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "source_beta_star": self.source_fit.to_json(),
             "image_beta_star": self.image_fit.to_json(),
             "fits_agree": self.fits_agree,
@@ -481,9 +459,10 @@ def pushforward_check(
     (ii) the pair-oscillation inequality image(r) <= C' * source(C*r)
     with C the bi-Lipschitz constant and C' = C^(2 alpha), at every grid
     radius, and (iii) agreement of the critical-exponent fits computed
-    independently on source and image clouds.  u must live on a level
-    graph of `ifs`; ValueError otherwise.  r_grid has
-    besov_functional's exactness limit.
+    independently on source and image clouds.  Each cloud's pairs are
+    enumerated once, for all of its radii.  u must live on a level graph
+    of `ifs`; ValueError otherwise.  r_grid has besov_functional's
+    exactness limit.
     """
     graph = u.graph
     if ifs != graph.ifs:
@@ -494,24 +473,30 @@ def pushforward_check(
         from .ifs import hausdorff_dim
 
         alpha = hausdorff_dim(ifs).value
-    pts_src, w = _cloud(graph)
-    _check_pair_budget(len(pts_src))
-    vals = u.float_values()
+    radii = _radius_grid(r_grid)
+    k = len(radii)
+    float_radii = [float(r) for r in radii]
     s = float(transform.scale)
-    image_vertices = [transform.apply(p) for p in graph.vertices]
-    pts_img = np.array([[float(x), float(y)] for x, y in image_vertices])
+    c_float = float(transform.bilipschitz_constant)
+    pts_src, w = _cloud(graph)
+    vals = u.float_values()
 
-    radii = tuple(r_grid) if r_grid is not None else dyadic_grid()
-    # (iii) the source fit comes first: it checks the radius grid before
-    # any other pair scan runs
-    source_fit = critical_exponent_fit(graph, u, r_grid=radii)
+    # one scan per cloud: the source over radii + C*radii (its fit, then
+    # the right-hand sides), the image over radii + s*radii (the left-hand
+    # sides, then its fit); the source scan ends before the image one starts
+    inflated = tuple(r * c_float for r in float_radii)
+    src_pairs = _pairs_by_radius(pts_src, radii + inflated)
+    source_fit = _fit(
+        float_radii,
+        (raw for _, raw, _ in _ball_sums(w, islice(src_pairs, k), vals)),
+        (2.0 ** -5, 2.0 ** -1),  # critical_exponent_fit's default window
+    )
 
     # (i) alpha-dimensional mass transport: image carries s^alpha times
     # the source mass, so L^p norms scale by s^(alpha/p)
     mass_factor = s ** alpha
     w_img = w * mass_factor
     lp: dict = {}
-    c_float = float(transform.bilipschitz_constant)
     for p in (1, 2):
         src_norm = float(np.sum(w * np.abs(vals) ** p) ** (1.0 / p))
         img_norm = float(np.sum(w_img * np.abs(vals) ** p) ** (1.0 / p))
@@ -522,34 +507,35 @@ def pushforward_check(
             "bound": c_float ** (alpha / p),
             "ok": observed <= c_float ** (alpha / p) * (1 + 1e-12),
         }
+    pts_img = np.array(
+        [[float(x), float(y)] for x, y in map(transform.apply, graph.vertices)]
+    )
+    img_radii = [r * s for r in float_radii]
+    img_pairs = _pairs_by_radius(pts_img, tuple(float_radii + img_radii))
+
+    # (ii) each side: the double integral of (u(x)-u(y))^2 over open-ball
+    # pairs, each pair counted in both orientations
+    sides = [
+        float(2.0 * np.sum(wt[i] * wt[j] * (vals[i] - vals[j]) ** 2))
+        for wt, scan in ((w, src_pairs), (w_img, islice(img_pairs, k)))
+        for i, j in scan
+    ]
     cprime_bound = c_float ** (2.0 * alpha)
     rows: list[PushforwardRow] = []
     observed_ratio = 0.0
-    lhs_by_radius = _pair_oscillation(pts_img, w_img, vals, [float(r) for r in radii])
-    rhs_by_radius = _pair_oscillation(pts_src, w, vals, [float(r) * c_float for r in radii])
-    for r, lhs, rhs in zip(radii, lhs_by_radius, rhs_by_radius):
+    for r, lhs, rhs in zip(float_radii, sides[k:], sides[:k]):
         bound = cprime_bound * rhs
         ok = lhs <= bound * (1 + 1e-12)
         if rhs > 0 and lhs > 0:
             observed_ratio = max(observed_ratio, lhs / rhs)
-        rows.append(PushforwardRow(float(r), lhs, rhs, bound, ok))
+        rows.append(PushforwardRow(r, lhs, rhs, bound, ok))
 
-    # (iii) the image fit, independent of the source fit; the image
-    # window scales with the map so both fits see the same geometric range
-    img_radii = tuple(float(r) * s for r in radii)
-    usable = []
-    for r, (volume, osc, _) in zip(img_radii, _ball_sums(pts_img, w, img_radii, vals)):
-        raw = float(np.sum(w * osc / volume))
-        if raw > 0:
-            usable.append((r, raw))
-    if len(usable) < 4:
-        raise FitError("too few usable radii on the image side")
-    img_used, img_values = zip(*usable)
-    image_fit = CriticalExponentEstimate(
-        *_loglog_fit(img_used, img_values),
+    # (iii) the image window scales with the map so both fits see the
+    # same geometric range
+    image_fit = _fit(
+        img_radii,
+        (raw for _, raw, _ in _ball_sums(w, img_pairs, vals)),
         (min(img_radii), max(img_radii)),
-        img_used,
-        img_values,
     )
     combined = 2.0 * (source_fit.stderr + image_fit.stderr)
     fits_agree = abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12)

@@ -100,18 +100,23 @@ def _constants(text: str) -> tuple[int, Fraction, Fraction]:
     )
 
 
+def _boundary_values(ifs: IfsSpec, boundary: Optional[str]) -> Sequence[Fraction]:
+    """Harmonic boundary values: parsed, one per corner, or by default 1
+    at corner 0 and 0 elsewhere."""
+    k = len(ifs.boundary)
+    if boundary is None:
+        return [Fraction(1)] + [Fraction(0)] * (k - 1)
+    vals = _rational_list(boundary, "boundary value")
+    if len(vals) != k:
+        raise _ParseFailure(f"need {k} boundary values, got {len(vals)}")
+    return vals
+
+
 def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]):
     """Build the level graph and resolve a named test function on it:
     (graph, values), the values per vertex or the harmonic GraphFunction."""
     if name == "harmonic":
-        k = len(ifs.boundary)
-        if boundary is None:
-            vals: Sequence = [Fraction(1)] + [Fraction(0)] * (k - 1)
-        else:
-            vals = _rational_list(boundary, "boundary value")
-            if len(vals) != k:
-                raise _ParseFailure(f"need {k} boundary values, got {len(vals)}")
-        u = harmonic_extension(ifs, level, vals)
+        u = harmonic_extension(ifs, level, _boundary_values(ifs, boundary))
         return u.graph, u
     if name in ("x", "y"):
         axis = 0 if name == "x" else 1
@@ -168,10 +173,7 @@ def _cmd_renorm(args):
 
 def _cmd_harmonic(args):
     ifs = _load(args.system)
-    k = len(ifs.boundary)
-    vals = _rational_list(args.boundary, "boundary value")
-    if len(vals) != k:
-        raise _ParseFailure(f"need {k} boundary values, got {len(vals)}")
+    vals = _boundary_values(ifs, args.boundary)
     u = harmonic_extension(ifs, args.level, vals, method=args.method)
     renorm = renorm_factor(ifs)
     raw = graph_energy(u, 1)
@@ -346,8 +348,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-m", "--level", type=int, default=1)
     p.add_argument(
         "--boundary",
-        default="1,0,0",
-        help="comma-separated rational boundary values (default 1,0,0)",
+        default=None,
+        help="comma-separated rational boundary values (default 1 at corner 0, 0 elsewhere)",
     )
     p.add_argument("--method", choices=("auto", "recursive", "direct"), default="auto")
     p.set_defaults(func=_cmd_harmonic)

@@ -11,6 +11,7 @@ from oracles import (
     open_ball_pairs_brute,
     oscillation_brute,
 )
+from walkdim import besov
 from walkdim.besov import (
     DRIFT_THRESHOLD,
     LipschitzMap,
@@ -23,7 +24,7 @@ from walkdim.besov import (
 )
 from walkdim.dirichlet import GraphFunction, harmonic_extension
 from walkdim.errors import BudgetExceeded, FitError
-from walkdim.ifs import sample_measure
+from walkdim.ifs import hausdorff_dim, sample_measure
 from walkdim.levelgraph import build_level_graph, vertex_measure_weights
 
 F = Fraction
@@ -275,6 +276,12 @@ class TestAlfors:
         with pytest.raises(ValueError):
             alfors_check(g, ALPHA, r_grid=[-0.5])
 
+    @pytest.mark.parametrize("max_centers", [0, -1, -400])
+    def test_max_centers_must_be_positive(self, sg, max_centers):
+        s = sample_measure(sg, 10, 500)
+        with pytest.raises(ValueError, match="max_centers"):
+            alfors_check(s, ALPHA, max_centers=max_centers)
+
     def test_volumes_match_brute_oracle(self, sg):
         g = build_level_graph(sg, 3)
         pts = np.array([[float(x), float(y)] for x, y in g.vertices])
@@ -408,3 +415,55 @@ class TestPushforward:
         assert payload["inflation"] == "2"
         assert payload["fits_agree"] is True
         assert len(payload["rows"]) == 5
+
+    @pytest.mark.parametrize(
+        "system, level, scale",
+        [("sg", 4, F(1, 2)), ("sg", 4, F(2)), ("hook", 3, F(1, 2))],
+    )
+    def test_sides_and_fits_match_brute(self, request, system, level, scale):
+        # level 4 has no sg pairs below 1/16, so the grid stays above it
+        grid = (0.5, 0.4, 0.3, 0.2, 0.125, 0.1)
+        ifs = request.getfixturevalue(system)
+        u = harmonic_on(ifs, level)
+        t = LipschitzMap(scale, (F(0), F(0)))
+        rep = pushforward_check(t, ifs, u, r_grid=grid)
+        pts = np.array([[float(x), float(y)] for x, y in u.graph.vertices])
+        img = np.array([[float(x), float(y)] for x, y in map(t.apply, u.graph.vertices)])
+        w = np.array([float(v) for v in vertex_measure_weights(u.graph)])
+        w_img = w * float(scale) ** hausdorff_dim(ifs).value
+        vals = u.float_values()
+        c = float(t.bilipschitz_constant)
+        for row in rep.rows:
+            assert row.lhs == pytest.approx(oscillation_brute(img, w_img, vals, row.r), rel=1e-12)
+            assert row.rhs == pytest.approx(oscillation_brute(pts, w, vals, c * row.r), rel=1e-12)
+        for fit, cloud, s in ((rep.source_fit, pts, 1.0), (rep.image_fit, img, float(scale))):
+            lo, hi = fit.window
+            radii = [r * s for r in grid]
+            used = [r for r in radii if lo <= r <= hi and open_ball_pairs_brute(cloud, r)]
+            assert fit.radii == tuple(used)
+            for r, value in zip(fit.radii, fit.values):
+                assert value == pytest.approx(besov_raw_brute(cloud, w, vals, r), rel=1e-12)
+
+    def test_one_pair_scan_per_cloud(self, sg, monkeypatch):
+        clouds = []
+        scan = besov._pairs_by_radius
+
+        def counting(points, radii):
+            clouds.append(len(points))
+            return scan(points, radii)
+
+        monkeypatch.setattr(besov, "_pairs_by_radius", counting)
+        pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, harmonic_on(sg, 5))
+        assert clouds == [366, 366]
+
+    def test_pair_limit_refused_before_any_tree(self, sg, monkeypatch):
+        g = build_level_graph(sg, 9)
+        assert g.vertex_count == 29526
+        u = GraphFunction(g, (F(0),) * g.vertex_count)
+        trees = []
+        monkeypatch.setattr(besov, "cKDTree", lambda *args, **kwargs: trees.append(args))
+        with pytest.raises(BudgetExceeded):
+            pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, u)
+        with pytest.raises(BudgetExceeded):
+            alfors_check(g, ALPHA)  # level-graph weights: the weighted path
+        assert trees == []

@@ -117,6 +117,13 @@ class TestHarmonic:
         assert payload["energy_raw"] == "0"
         assert payload["min"] == payload["max"] == 1.0
 
+    def test_default_boundary_on_two_point_system(self, capsys):
+        rc, payload = run(capsys, "harmonic", "segment", "-m", "2")
+        assert rc == 0
+        assert payload["boundary_values"] == ["1", "0"]
+        assert payload["energy_raw"] == "1/4"
+        assert (payload["min"], payload["max"]) == (0.0, 1.0)
+
     def test_wrong_boundary_count(self, capsys):
         rc, payload = run(capsys, "harmonic", "sg", "--boundary", "1,0")
         assert rc == 2
