@@ -2,8 +2,11 @@
 
 Supports the structural validation of gasket systems: convex hulls of
 cell vertex sets and classification of pairwise cell intersections as
-empty / single point / segment / two-dimensional region.  Everything is
-Fraction arithmetic; there are no tolerances anywhere in this module.
+empty / single point / segment / two-dimensional region.  Every hull,
+whatever its shape, is a list of closed half-planes, so one half-plane
+clipper serves every intersection and one test serves membership.
+Everything is Fraction arithmetic; there are no tolerances anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -45,32 +48,22 @@ def convex_hull(points: list[Point]) -> list[Point]:
     return hull
 
 
-def polygon_area2(poly: list[Point]) -> Fraction:
-    """Twice the signed shoelace area."""
-    n = len(poly)
-    s = Fraction(0)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
-    return s
+def _halfplanes(hull: list[Point]) -> list[tuple[Point, Point]]:
+    """The closed half-planes {x : cross(a, b, x) >= 0} whose intersection
+    is the hull: a polygon's CCW edges; for a segment or a single point,
+    its line in both directions plus two end caps (a point takes
+    direction (1, 0))."""
+    if len(hull) >= 3:
+        return list(zip(hull, hull[1:] + hull[:1]))
+    a, b = hull[0], hull[-1]
+    dx, dy = (b[0] - a[0], b[1] - a[1]) if a != b else (1, 0)
+    e = (a[0] + dx, a[1] + dy)
+    return [(a, e), (e, a), (a, (a[0] + dy, a[1] - dx)), (b, (b[0] - dy, b[1] + dx))]
 
 
 def point_in_hull(p: Point, hull: list[Point]) -> bool:
     """Membership in the closed convex hull (any degenerate shape)."""
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if cross(a, b, p) != 0:
-            return False
-        lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
-        lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
-        return lo_x <= p[0] <= hi_x and lo_y <= p[1] <= hi_y
-    return all(
-        cross(hull[i], hull[(i + 1) % len(hull)], p) >= 0
-        for i in range(len(hull))
-    )
+    return all(cross(a, b, p) >= 0 for a, b in _halfplanes(hull))
 
 
 def _clip_polygon_halfplane(poly: list[Point], a: Point, b: Point) -> list[Point]:
@@ -100,52 +93,6 @@ def _clip_polygon_halfplane(poly: list[Point], a: Point, b: Point) -> list[Point
     return dedup
 
 
-def _clip_segment_halfplane(
-    seg: tuple[Point, Point] | None, a: Point, b: Point
-) -> tuple[Point, Point] | None:
-    if seg is None:
-        return None
-    p, q = seg
-    cp, cq = cross(a, b, p), cross(a, b, q)
-    if cp >= 0 and cq >= 0:
-        return seg
-    if cp < 0 and cq < 0:
-        return None
-    t = cp / (cp - cq)
-    mid = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-    return (mid, q) if cp < 0 else (p, mid)
-
-
-def _segment_segment(a: tuple[Point, Point], b: tuple[Point, Point]) -> list[Point]:
-    """Intersection points of two closed segments; collinear overlap
-    returns its two endpoints (possibly equal)."""
-    (p1, p2), (q1, q2) = a, b
-    d1 = cross(p1, p2, q1)
-    d2 = cross(p1, p2, q2)
-    if d1 == 0 and d2 == 0:
-        # collinear: intersect the parameter intervals along the segment axis
-        axis = 0 if p1[0] != p2[0] else 1
-        lo_a, hi_a = sorted([p1, p2], key=lambda p: p[axis])
-        lo_b, hi_b = sorted([q1, q2], key=lambda p: p[axis])
-        lo = lo_a if lo_a[axis] >= lo_b[axis] else lo_b
-        hi = hi_a if hi_a[axis] <= hi_b[axis] else hi_b
-        if lo[axis] > hi[axis]:
-            return []
-        return [lo] if lo == hi else [lo, hi]
-    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
-        return []
-    d3 = cross(q1, q2, p1)
-    d4 = cross(q1, q2, p2)
-    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
-        return []
-    # proper or touching intersection; solve parametrically on segment b
-    denom = d1 - d2
-    if denom == 0:
-        return []
-    t = d1 / denom
-    return [(q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))]
-
-
 @dataclass(frozen=True)
 class HullIntersection:
     """Classification of the intersection of two convex hulls.
@@ -162,53 +109,18 @@ class HullIntersection:
         return self.kind in ("empty", "point")
 
 
-def _classify_points(pts: list[Point]) -> HullIntersection:
-    uniq = sorted(set(pts))
-    if not uniq:
-        return HullIntersection("empty", ())
-    if len(uniq) == 1:
-        return HullIntersection("point", (uniq[0],))
-    if len(uniq) == 2:
-        return HullIntersection("segment", tuple(uniq))
-    hull = convex_hull(uniq)
-    if len(hull) <= 2:
-        return HullIntersection("segment", (hull[0], hull[-1]))
-    if polygon_area2(hull) == 0:
-        return HullIntersection("segment", (hull[0], hull[-1]))
-    return HullIntersection("region", tuple(hull))
-
-
 def hull_intersection(a: list[Point], b: list[Point]) -> HullIntersection:
     """Exact intersection classification of two convex hulls.
 
     Inputs are point sets; each is normalized through convex_hull (so
     ordering and orientation of the callers' lists never matter).  The
     intersection of convex sets is convex, so the answer is empty, a
-    point, a segment, or a polygon with positive area.
+    point, a segment, or a polygon with positive area: convex_hull never
+    keeps three collinear points, so its length names the kind.
     """
-    a = convex_hull(a)
-    b = convex_hull(b)
-    if len(a) > len(b):
-        a, b = b, a
-    # now len(a) <= len(b)
-    if len(a) == 1:
-        return (
-            HullIntersection("point", (a[0],))
-            if point_in_hull(a[0], b)
-            else HullIntersection("empty", ())
-        )
-    if len(a) == 2 and len(b) == 2:
-        return _classify_points(_segment_segment((a[0], a[1]), (b[0], b[1])))
-    if len(a) == 2:
-        seg: tuple[Point, Point] | None = (a[0], a[1])
-        for i in range(len(b)):
-            seg = _clip_segment_halfplane(seg, b[i], b[(i + 1) % len(b)])
-            if seg is None:
-                return HullIntersection("empty", ())
-        return _classify_points(list(seg))
-    poly = list(a)
-    for i in range(len(b)):
-        poly = _clip_polygon_halfplane(poly, b[i], b[(i + 1) % len(b)])
-        if not poly:
-            return HullIntersection("empty", ())
-    return _classify_points(poly)
+    poly = convex_hull(a)
+    for p, q in _halfplanes(convex_hull(b)):
+        poly = _clip_polygon_halfplane(poly, p, q)
+    hull = convex_hull(poly)
+    kind = ("empty", "point", "segment", "region")[min(len(hull), 3)]
+    return HullIntersection(kind, tuple(hull))

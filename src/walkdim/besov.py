@@ -486,10 +486,11 @@ def pushforward_check(
     # sides, then its fit); the source scan ends before the image one starts
     inflated = tuple(r * c_float for r in float_radii)
     src_pairs = _pairs_by_radius(pts_src, radii + inflated)
+    r_min, r_max = 2.0 ** -5, 2.0 ** -1  # critical_exponent_fit's default window
     source_fit = _fit(
         float_radii,
         (raw for _, raw, _ in _ball_sums(w, islice(src_pairs, k), vals)),
-        (2.0 ** -5, 2.0 ** -1),  # critical_exponent_fit's default window
+        (r_min, r_max),
     )
 
     # (i) alpha-dimensional mass transport: image carries s^alpha times
@@ -530,12 +531,12 @@ def pushforward_check(
             observed_ratio = max(observed_ratio, lhs / rhs)
         rows.append(PushforwardRow(r, lhs, rhs, bound, ok))
 
-    # (iii) the image window scales with the map so both fits see the
-    # same geometric range
+    # (iii) the image window is the source window scaled by the map, so
+    # both fits use the same grid radii on any grid
     image_fit = _fit(
         img_radii,
         (raw for _, raw, _ in _ball_sums(w, img_pairs, vals)),
-        (min(img_radii), max(img_radii)),
+        (r_min * s, r_max * s),
     )
     combined = 2.0 * (source_fit.stderr + image_fit.stderr)
     fits_agree = abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12)

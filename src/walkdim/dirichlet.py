@@ -254,22 +254,26 @@ def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tu
     return tuple(int(t) for t in grid if t >= 1)
 
 
+# The heat-kernel fit window: times from _T_MIN_FIT on, while p_t stays
+# above _PLATEAU_FACTOR times the stationary plateau.
+_PLATEAU_FACTOR = 1.1
+_T_MIN_FIT = 10
+
+
 def heat_kernel_diag(
     ifs: IfsSpec,
     m: int,
     laziness: float = 0.5,
     t_grid: Optional[Sequence[int]] = None,
     base_vertex: Optional[int] = None,
-    plateau_factor: float = 1.1,
-    t_min_fit: int = 10,
 ) -> HeatProfile:
     """Measure-normalized on-diagonal heat kernel of the lazy walk and
     its log-log decay slope.
 
     p_t(x,x) = P^t(x,x)/w(x) with w the vertex measure weights; the walk
     stays put with probability `laziness`.  The fit uses the window
-    t >= t_min_fit and p_t above plateau_factor times the stationary
-    plateau (the two-sided power-law regime).
+    t >= 10 and p_t above 1.1 times the stationary plateau (the
+    two-sided power-law regime).
     """
     from scipy import sparse
 
@@ -317,7 +321,7 @@ def heat_kernel_diag(
     usable = [
         (t, p)
         for t, p in zip(times, diag)
-        if t >= t_min_fit and p > plateau_factor * plateau
+        if t >= _T_MIN_FIT and p > _PLATEAU_FACTOR * plateau
     ]
     if len(usable) < 4:
         raise FitError(

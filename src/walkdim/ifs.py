@@ -165,12 +165,13 @@ def attractor_hull(ifs: IfsSpec) -> list[Point]:
 def _boundary_is_word_fixed_point(ifs: IfsSpec, p: Point) -> bool:
     """Is p the fixed point of some composition of <= _BOUNDARY_WORD_DEPTH maps?"""
     frontier = list(ifs.maps)
-    for _ in range(_BOUNDARY_WORD_DEPTH):
+    for depth in range(1, _BOUNDARY_WORD_DEPTH + 1):
         if any(m.fixed_point() == p for m in frontier):
             return True
-        frontier = [m.after(inner) for m in frontier for inner in ifs.maps]
-        if len(frontier) > 20000:
+        # build the next words only if they will be checked and fit the cap
+        if depth == _BOUNDARY_WORD_DEPTH or len(frontier) * len(ifs.maps) > 20000:
             break
+        frontier = [m.after(inner) for m in frontier for inner in ifs.maps]
     return False
 
 

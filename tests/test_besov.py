@@ -373,6 +373,14 @@ class TestPushforward:
         assert all(row.ok for row in rep.rows)
         assert rep.fits_agree
 
+    def test_identity_fits_one_window_on_custom_grid(self, sg):
+        # the grid reaches past the default fit window [1/32, 1/2]
+        grid = (0.9, 0.7, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+        u = harmonic_on(sg, 6)
+        rep = pushforward_check(LipschitzMap(F(1), (F(0), F(0))), sg, u, r_grid=grid)
+        assert rep.image_fit == rep.source_fit
+        assert rep.source_fit.radii == grid[2:]
+
     def test_dyadic_translation_exact(self, sg):
         # dyadic shifts keep every coordinate exactly representable, so
         # the image cloud reproduces the source pair set bit for bit

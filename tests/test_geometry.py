@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,7 +9,6 @@ from walkdim._geometry import (
     convex_hull,
     hull_intersection,
     point_in_hull,
-    polygon_area2,
 )
 
 F = Fraction
@@ -22,6 +22,22 @@ SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 coords = st.builds(F, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=4))
 points = st.tuples(coords, coords)
+# general sets plus the degenerate shapes: one point, points on one line
+point_sets = st.one_of(
+    st.lists(points, min_size=1, max_size=6),
+    st.builds(lambda p: [p], points),
+    st.builds(
+        lambda p, d, ts: [(p[0] + t * d[0], p[1] + t * d[1]) for t in ts],
+        points,
+        points,
+        st.lists(coords, min_size=2, max_size=4),
+    ),
+)
+
+
+def in_hull(p, pts):
+    """Membership oracle: adding p leaves the hull's vertex set unchanged."""
+    return sorted(convex_hull(list(pts) + [p])) == sorted(convex_hull(list(pts)))
 
 
 class TestConvexHull:
@@ -63,11 +79,6 @@ class TestPointInHull:
     def test_point_hull(self):
         assert point_in_hull(pt(1, 1), [pt(1, 1)])
         assert not point_in_hull(pt(1, 2), [pt(1, 1)])
-
-
-class TestArea:
-    def test_unit_square(self):
-        assert polygon_area2(convex_hull(SQUARE)) == 2
 
 
 class TestHullIntersection:
@@ -132,6 +143,28 @@ class TestHullIntersection:
         assert res.kind == "point"
         res = hull_intersection([pt(5, 5)], SQUARE)
         assert res.kind == "empty"
+
+    @pytest.mark.parametrize(
+        "a, b, kind, witnesses",
+        [
+            ([pt(1, 1)], [pt(0, 0), pt(2, 2)], "point", (pt(1, 1),)),
+            ([pt(1, 0)], [pt(0, 0), pt(2, 2)], "empty", ()),
+            ([pt(0, 0), pt(2, 2)], [pt(0, 2), pt(2, 0)], "point", (pt(1, 1),)),
+            ([pt(0, 0), pt(2, 0)], [pt(0, 1), pt(2, 1)], "empty", ()),
+        ],
+        ids=["point-on-segment", "point-off-segment", "segments-cross", "parallel-disjoint"],
+    )
+    def test_degenerate_pairs(self, a, b, kind, witnesses):
+        for x, y in ((a, b), (b, a)):
+            res = hull_intersection(x, y)
+            assert (res.kind, res.witnesses) == (kind, witnesses)
+
+    @given(point_sets, point_sets, st.lists(points, max_size=4))
+    def test_witness_hull_is_the_intersection(self, a, b, extra):
+        res = hull_intersection(a, b)
+        probes = a + b + extra + [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in a for q in b]
+        for p in probes:
+            assert in_hull(p, res.witnesses) == (in_hull(p, a) and in_hull(p, b))
 
     @given(st.lists(points, min_size=1, max_size=6), st.lists(points, min_size=1, max_size=6))
     def test_symmetry(self, pa, pb):

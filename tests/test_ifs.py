@@ -116,6 +116,22 @@ class TestValidation:
         )
         assert "boundary-fixed-point" in {c.name for c in validate(bad).failures}
 
+    def test_unfixed_boundary_builds_only_checked_words(self, sg, monkeypatch):
+        # 27 maps: words of length 2 and 3 are checked; length 4 is never built
+        sg3 = compose(sg, compose(sg, sg))
+        bad = make(sg3.maps, [pt(0, 0), pt(1, 0), pt(F(1, 2), F(1, 2))])
+        calls = []
+        after = Similitude.after
+
+        def counting(self, inner):
+            calls.append(None)
+            return after(self, inner)
+
+        monkeypatch.setattr(Similitude, "after", counting)
+        report = validate(bad)
+        assert "boundary-fixed-point" in {c.name for c in report.failures}
+        assert len(calls) == 27 ** 2 + 27 ** 3
+
     def test_overlapping_cells_fail(self):
         # both maps fix overlapping squares: intersection has interior
         bad = make(
