@@ -4,7 +4,7 @@ Supports the structural validation of gasket systems: convex hulls of
 cell vertex sets and classification of pairwise cell intersections as
 empty / single point / segment / two-dimensional region.  Every hull,
 whatever its shape, is a list of closed half-planes, so one half-plane
-clipper serves every intersection and one test serves membership.
+clipper serves every intersection.
 Everything is Fraction arithmetic; there are no tolerances anywhere in
 this module.
 """
@@ -59,11 +59,6 @@ def _halfplanes(hull: list[Point]) -> list[tuple[Point, Point]]:
     dx, dy = (b[0] - a[0], b[1] - a[1]) if a != b else (1, 0)
     e = (a[0] + dx, a[1] + dy)
     return [(a, e), (e, a), (a, (a[0] + dy, a[1] - dx)), (b, (b[0] - dy, b[1] + dx))]
-
-
-def point_in_hull(p: Point, hull: list[Point]) -> bool:
-    """Membership in the closed convex hull (any degenerate shape)."""
-    return all(cross(a, b, p) >= 0 for a, b in _halfplanes(hull))
 
 
 def _clip_polygon_halfplane(poly: list[Point], a: Point, b: Point) -> list[Point]:

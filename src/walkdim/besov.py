@@ -21,16 +21,16 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence, Union
-
-import numpy as np
-from scipy.spatial import cKDTree
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
-from .ifs import IfsSpec, MeasureSample
+from .ifs import IfsSpec, MeasureSample, hausdorff_dim
 from .levelgraph import LevelGraph, vertex_measure_weights
-from .rational import as_fraction
+from .rational import as_fraction, format_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Pair scans are quadratic in the worst case; keep clouds desk-sized.
 MAX_SCAN_POINTS = 20000
@@ -47,6 +47,8 @@ def dyadic_grid(j_min: int = 1, j_max: int = 5) -> tuple[float, ...]:
 
 def _cloud(source: PointSource) -> tuple[np.ndarray, np.ndarray]:
     """(points, weights) as float arrays; weights sum to 1."""
+    import numpy as np
+
     if isinstance(source, LevelGraph):
         pts = np.array([[float(x), float(y)] for x, y in source.vertices])
         w = np.array([float(v) for v in vertex_measure_weights(source)])
@@ -66,6 +68,8 @@ def _check_pair_budget(n: int) -> None:
 
 
 def _function_values(source: PointSource, u) -> np.ndarray:
+    import numpy as np
+
     if isinstance(u, GraphFunction):
         defined_here = isinstance(source, LevelGraph) and (
             u.graph is source or u.graph.vertices == source.vertices
@@ -102,6 +106,9 @@ def _pairs_by_radius(
     that allocates pairs, so it checks the pair-scan limit before the
     k-d query.
     """
+    import numpy as np
+    from scipy.spatial import cKDTree
+
     n = len(points)
     _check_pair_budget(n)
     pairs = cKDTree(points).query_pairs(max(radii), output_type="ndarray")
@@ -127,6 +134,8 @@ def _ball_sums(
     over x of the ball's w_y*(u(x)-u(y))^2 divided by its volume; 0 when
     vals is None), and the number of pairs x != y in a ball.
     """
+    import numpy as np
+
     for i, j in scan:
         volume = w.copy()
         np.add.at(volume, i, w[j])
@@ -192,6 +201,8 @@ def besov_functional(
     pair_count = 0.  r_grid (default dyadic_grid()): see the module
     docstring for when its open balls are exact.
     """
+    import numpy as np
+
     pts, w = _cloud(source)
     vals = _function_values(source, u)
     radii = _radius_grid(r_grid)
@@ -324,6 +335,9 @@ def alfors_check(
     the ratios geometrically in r.  r_grid (default 2^-j, 1 <= j <= 6):
     see the module docstring for when its open balls are exact.
     """
+    import numpy as np
+    from scipy.spatial import cKDTree
+
     if max_centers < 1:
         raise ValueError("max_centers must be >= 1")
     pts, w = _cloud(source)
@@ -428,8 +442,6 @@ class PushforwardReport:
     exact_invariance: bool  # isometry case: scans match exactly
 
     def to_json(self) -> dict:
-        from .rational import format_rational
-
         return {
             "scale": format_rational(self.scale),
             "inflation": format_rational(self.inflation),
@@ -464,14 +476,14 @@ def pushforward_check(
     of `ifs`; ValueError otherwise.  r_grid has besov_functional's
     exactness limit.
     """
+    import numpy as np
+
     graph = u.graph
     if ifs != graph.ifs:
         raise ValueError(
             f"u lives on {graph.ifs.name!r}, not on the given system {ifs.name!r}"
         )
     if alpha is None:
-        from .ifs import hausdorff_dim
-
         alpha = hausdorff_dim(ifs).value
     radii = _radius_grid(r_grid)
     k = len(radii)

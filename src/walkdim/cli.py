@@ -178,7 +178,7 @@ def _cmd_harmonic(args):
     renorm = renorm_factor(ifs)
     raw = graph_energy(u, 1)
     scaled = graph_energy(u, renorm.energy_scale)
-    floats = u.float_values()
+    floats = [float(v) for v in u.values]
     payload = {
         "system": ifs.name,
         "level": args.level,
@@ -193,8 +193,8 @@ def _cmd_harmonic(args):
         "energy_scaled": (
             format_rational(scaled) if isinstance(scaled, Fraction) else float(scaled)
         ),
-        "min": float(floats.min()),
-        "max": float(floats.max()),
+        "min": min(floats),
+        "max": max(floats),
     }
     rows = [
         [float(x), float(y), fv]

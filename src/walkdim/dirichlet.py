@@ -12,15 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import FitError
 from .ifs import IfsSpec, ensure_valid
 from .levelgraph import LevelGraph, _check_level, build_level_graph, vertex_measure_weights
 from .network import _adjacency, _back_substitute, _eliminate, _refine, unit_complete_network
 from .rational import as_fraction, format_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Value = Union[Fraction, float]
 
@@ -35,6 +36,8 @@ class GraphFunction:
             raise ValueError("one value per vertex required")
 
     def float_values(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(v) for v in self.values])
 
 
@@ -243,11 +246,15 @@ def deep_interior_vertex(g: LevelGraph) -> int:
 
 def _loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope of log y against log x, and its standard error."""
+    import numpy as np
+
     coeffs, cov = np.polyfit(np.log(x), np.log(y), 1, cov=True)
     return float(coeffs[0]), float(np.sqrt(cov[0][0]))
 
 
 def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tuple[int, ...]:
+    import numpy as np
+
     grid = np.unique(
         np.round(np.logspace(math.log10(t_min), math.log10(t_max), count)).astype(int)
     )
@@ -275,6 +282,7 @@ def heat_kernel_diag(
     t >= 10 and p_t above 1.1 times the stationary plateau (the
     two-sided power-law regime).
     """
+    import numpy as np
     from scipy import sparse
 
     ensure_valid(ifs)

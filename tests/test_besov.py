@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from oracles import (
     ball_volumes_brute,
@@ -469,7 +470,8 @@ class TestPushforward:
         assert g.vertex_count == 29526
         u = GraphFunction(g, (F(0),) * g.vertex_count)
         trees = []
-        monkeypatch.setattr(besov, "cKDTree", lambda *args, **kwargs: trees.append(args))
+        # besov imports cKDTree inside each scan, so patch it at its source
+        monkeypatch.setattr(scipy.spatial, "cKDTree", lambda *args, **kwargs: trees.append(args))
         with pytest.raises(BudgetExceeded):
             pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, u)
         with pytest.raises(BudgetExceeded):

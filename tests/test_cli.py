@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -377,6 +380,48 @@ class TestOutputFiles:
         )
         assert rc == 1
         assert payload["error"] == "file"
+
+
+# The exact commands of the benchmark's exact-solve workload, plus graph.
+EXACT_COMMANDS = (
+    "validate sg",
+    "dim sg",
+    "dim bench/hook.json",
+    "renorm sg",
+    "compare --constants 3,1/2,5/3 --constants 27,1/8,295/63",
+    "exit-fit sg -m 4",
+    "harmonic sg -m 4",
+    "cut sg -m 1 --remove-interior",
+    "graph sg -m 3",
+)
+
+_NO_FLOAT_STACK = """
+import contextlib, io, sys
+import walkdim, walkdim.cli
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert walkdim.cli.main(line.split()) == 0, line
+loaded = sorted({"numpy", "scipy"} & set(sys.modules))
+assert not loaded, f"exact commands loaded {loaded}"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert walkdim.cli.main(["besov-fit", "sg", "-m", "5"]) == 0
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_exact_commands_load_no_numpy_or_scipy():
+    """Exact commands start without numpy and scipy; a float estimator
+    still imports them on first use.  A fresh interpreter, since this
+    one has them loaded already."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_FLOAT_STACK, *EXACT_COMMANDS],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -8,7 +8,6 @@ from walkdim._geometry import (
     HullIntersection,
     convex_hull,
     hull_intersection,
-    point_in_hull,
 )
 
 F = Fraction
@@ -56,29 +55,13 @@ class TestConvexHull:
     @given(st.lists(points, min_size=1, max_size=12))
     def test_hull_contains_all_points(self, pts):
         hull = convex_hull(pts)
-        assert all(point_in_hull(p, hull) for p in pts)
+        assert all(hull_intersection([p], hull).kind == "point" for p in pts)
 
     @given(st.lists(points, min_size=3, max_size=10), st.randoms())
     def test_order_invariance(self, pts, rng):
         shuffled = list(pts)
         rng.shuffle(shuffled)
         assert sorted(convex_hull(pts)) == sorted(convex_hull(shuffled))
-
-
-class TestPointInHull:
-    def test_inside_outside_boundary(self):
-        assert point_in_hull(pt(F(1, 2), F(1, 3)), SQUARE)
-        assert point_in_hull(pt(0, F(1, 2)), SQUARE)  # edge counts
-        assert not point_in_hull(pt(2, 0), SQUARE)
-
-    def test_segment_hull(self):
-        seg = [pt(0, 0), pt(2, 0)]
-        assert point_in_hull(pt(1, 0), seg)
-        assert not point_in_hull(pt(1, 1), seg)
-
-    def test_point_hull(self):
-        assert point_in_hull(pt(1, 1), [pt(1, 1)])
-        assert not point_in_hull(pt(1, 2), [pt(1, 1)])
 
 
 class TestHullIntersection:
@@ -151,8 +134,19 @@ class TestHullIntersection:
             ([pt(1, 0)], [pt(0, 0), pt(2, 2)], "empty", ()),
             ([pt(0, 0), pt(2, 2)], [pt(0, 2), pt(2, 0)], "point", (pt(1, 1),)),
             ([pt(0, 0), pt(2, 0)], [pt(0, 1), pt(2, 1)], "empty", ()),
+            ([pt(0, F(1, 2))], SQUARE, "point", (pt(0, F(1, 2)),)),
+            ([pt(1, 1)], [pt(1, 1)], "point", (pt(1, 1),)),
+            ([pt(1, 2)], [pt(1, 1)], "empty", ()),
         ],
-        ids=["point-on-segment", "point-off-segment", "segments-cross", "parallel-disjoint"],
+        ids=[
+            "point-on-segment",
+            "point-off-segment",
+            "segments-cross",
+            "parallel-disjoint",
+            "point-on-polygon-edge",
+            "point-on-point",
+            "point-off-point",
+        ],
     )
     def test_degenerate_pairs(self, a, b, kind, witnesses):
         for x, y in ((a, b), (b, a)):
