@@ -64,6 +64,13 @@ class TestConvexHull:
         assert sorted(convex_hull(pts)) == sorted(convex_hull(shuffled))
 
 
+class TestPointInHull:
+    def test_segment_hull(self):
+        seg = [pt(0, 0), pt(2, 0)]
+        assert hull_intersection([pt(1, 0)], seg).kind == "point"
+        assert hull_intersection([pt(1, 1)], seg).kind == "empty"
+
+
 class TestHullIntersection:
     def test_disjoint(self):
         a = [pt(0, 0), pt(1, 0), pt(0, 1)]
