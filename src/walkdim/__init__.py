@@ -15,7 +15,6 @@ from .audit import (
     INVARIANTS_EQUAL,
     AuditVerdict,
     audit_pair,
-    logratio_equal,
     verify_certificate,
 )
 from .besov import (
@@ -31,11 +30,9 @@ from .besov import (
     pushforward_check,
 )
 from .dirichlet import (
-    DecayCheck,
     ExitTimeReport,
     GraphFunction,
     HeatProfile,
-    decay_condition_check,
     deep_interior_vertex,
     default_time_grid,
     exit_time_profile,
@@ -79,7 +76,6 @@ from .network import (
     DimensionReport,
     RenormResult,
     dimension_report_from_constants,
-    effective_resistance,
     reduce_boundary,
     renorm_factor,
     replicate,
@@ -101,7 +97,6 @@ __all__ = [
     "CriticalExponentEstimate",
     "DISTINCT_BY_ALPHA",
     "DISTINCT_BY_BETA",
-    "DecayCheck",
     "DimensionReport",
     "ExitTimeReport",
     "FitError",
@@ -133,12 +128,10 @@ __all__ = [
     "compose",
     "components_after_removal",
     "critical_exponent_fit",
-    "decay_condition_check",
     "deep_interior_vertex",
     "default_time_grid",
     "dimension_report_from_constants",
     "dyadic_grid",
-    "effective_resistance",
     "exit_time_profile",
     "format_rational",
     "graph_energy",
@@ -146,7 +139,6 @@ __all__ = [
     "hausdorff_dim",
     "heat_kernel_diag",
     "load_system",
-    "logratio_equal",
     "preset",
     "preset_names",
     "pushforward_check",

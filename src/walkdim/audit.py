@@ -10,6 +10,7 @@ equivalence.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -34,17 +35,6 @@ VERDICTS = (DISTINCT_BY_ALPHA, DISTINCT_BY_BETA, INVARIANTS_EQUAL, INCONCLUSIVE)
 # Either a geometric system, a precomputed report, or declared constants
 # (map count, contraction ratio, energy scale).
 Subject = Union[IfsSpec, DimensionReport, Sequence]
-
-
-def logratio_equal(a: LogRatio, b: LogRatio, float_tol: float = 1e-9) -> Comparison:
-    """Three-way equality decision for log-ratios.
-
-    Commensurable bases are decided exactly (integer power comparison,
-    certificate on distinctness); incommensurable bases fall back to a
-    float comparison that can only report distinct-without-certificate
-    or inconclusive.
-    """
-    return a.compare(b, float_tol=float_tol)
 
 
 def verify_certificate(cert: PowerCertificate) -> bool:
@@ -94,16 +84,7 @@ def as_dimension_report(subject: Subject, name: Optional[str] = None) -> Dimensi
     else:
         raise TypeError(f"cannot audit subject of type {type(subject).__name__}")
     if name is not None and name != report.name:
-        report = DimensionReport(
-            name,
-            report.alpha,
-            report.energy_scale,
-            report.exact,
-            report.gamma,
-            report.beta,
-            report.gamma_float,
-            report.beta_float,
-        )
+        report = dataclasses.replace(report, name=name)
     return report
 
 
@@ -193,8 +174,8 @@ def audit_pair(
                 f"renormalization for '{rep.name}' did not resolve to an "
                 "exact energy scale; the audit needs exact invariants"
             )
-    ca = logratio_equal(ra.alpha, rb.alpha, float_tol)
-    cb = logratio_equal(ra.beta, rb.beta, float_tol)
+    ca = ra.alpha.compare(rb.alpha, float_tol=float_tol)
+    cb = ra.beta.compare(rb.beta, float_tol=float_tol)
 
     if ca.relation is Relation.DISTINCT and ca.route == "exact":
         verdict, cert = DISTINCT_BY_ALPHA, ca.certificate

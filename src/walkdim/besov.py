@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 # Pair scans are quadratic in the worst case; keep clouds desk-sized.
 MAX_SCAN_POINTS = 20000
 
+# Default radius window [r_min, r_max] of the critical-exponent fits.
+FIT_WINDOW = (2.0 ** -5, 2.0 ** -1)
+
 PointSource = Union[LevelGraph, MeasureSample]
 
 
@@ -246,15 +249,15 @@ class CriticalExponentEstimate:
 
 
 def _fit(
-    radii: Sequence[float], raws: Iterable[float], window: tuple[float, float]
+    radii: Sequence[float], raws: Iterable[float], window: tuple[float, float], knobs: str
 ) -> CriticalExponentEstimate:
     """Log-log slope over the radii inside the window whose raw
-    oscillation is positive; FitError with fewer than four."""
+    oscillation is positive; with fewer than four, FitError naming `knobs`."""
     r_min, r_max = window
     usable = [(r, raw) for r, raw in zip(radii, raws) if raw > 0 and r_min <= r <= r_max]
     if len(usable) < 4:
         raise FitError(
-            f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4"
+            f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4; {knobs}"
         )
     used, values = zip(*usable)
     return CriticalExponentEstimate(
@@ -265,7 +268,7 @@ def _fit(
 def critical_exponent_fit(
     source: PointSource,
     u,
-    r_window: tuple[float, float] = (2.0 ** -5, 2.0 ** -1),
+    r_window: tuple[float, float] = FIT_WINDOW,
     r_grid: Optional[Sequence[float]] = None,
 ) -> CriticalExponentEstimate:
     """Least-squares slope of log(raw oscillation) against log r.
@@ -284,7 +287,9 @@ def critical_exponent_fit(
     else:
         radii = tuple(r_grid)
     rows = besov_functional(source, u, sigma=0.0, r_grid=radii).rows
-    return _fit([row.r for row in rows], [row.raw for row in rows], r_window)
+    more = "the level (-m)" if isinstance(source, LevelGraph) else "the sample count (--sample)"
+    knobs = f"raise {more} or lower the window's lower edge (--r-min)"
+    return _fit([row.r for row in rows], [row.raw for row in rows], r_window, knobs)
 
 
 @dataclass(frozen=True)
@@ -412,12 +417,6 @@ class LipschitzMap:
             self.scale * p[1] + self.translation[1],
         )
 
-    def inverse(self) -> "LipschitzMap":
-        inv = 1 / self.scale
-        return LipschitzMap(
-            inv, (-self.translation[0] * inv, -self.translation[1] * inv)
-        )
-
 
 @dataclass(frozen=True)
 class PushforwardRow:
@@ -498,11 +497,12 @@ def pushforward_check(
     # sides, then its fit); the source scan ends before the image one starts
     inflated = tuple(r * c_float for r in float_radii)
     src_pairs = _pairs_by_radius(pts_src, radii + inflated)
-    r_min, r_max = 2.0 ** -5, 2.0 ** -1  # critical_exponent_fit's default window
+    r_min, r_max = FIT_WINDOW
     source_fit = _fit(
         float_radii,
         (raw for _, raw, _ in _ball_sums(w, islice(src_pairs, k), vals)),
-        (r_min, r_max),
+        FIT_WINDOW,
+        "raise the level (-m)",
     )
 
     # (i) alpha-dimensional mass transport: image carries s^alpha times
@@ -549,6 +549,7 @@ def pushforward_check(
         img_radii,
         (raw for _, raw, _ in _ball_sums(w, img_pairs, vals)),
         (r_min * s, r_max * s),
+        "raise the level (-m)",
     )
     combined = 2.0 * (source_fit.stderr + image_fit.stderr)
     fits_agree = abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12)

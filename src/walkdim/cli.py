@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .audit import audit_pair
 from .besov import (
+    FIT_WINDOW,
     LipschitzMap,
     _check_pair_budget,
     critical_exponent_fit,
@@ -382,8 +383,9 @@ def _build_parser() -> _Parser:
     p.add_argument("-m", "--level", type=int, default=7)
     p.add_argument("--function", choices=("harmonic", "x", "y"), default="harmonic")
     p.add_argument("--boundary", default=None, help="harmonic boundary values")
-    p.add_argument("--r-min", default="1/32", help="window lower edge (default 1/32)")
-    p.add_argument("--r-max", default="1/2", help="window upper edge (default 1/2)")
+    r_min, r_max = (format_rational(Fraction(r)) for r in FIT_WINDOW)
+    p.add_argument("--r-min", default=r_min, help=f"window lower edge (default {r_min})")
+    p.add_argument("--r-max", default=r_max, help=f"window upper edge (default {r_max})")
     p.add_argument("--sample", type=int, default=None, help="use N measure samples")
     p.add_argument("--depth", type=int, default=10, help="sampling word length")
     p.add_argument(

@@ -3,8 +3,7 @@
 Harmonic extension and exit times are exact rational linear algebra on
 the unweighted level-m graph, solved as m one-level refinement steps of
 the cell problem; the heat-kernel diagonal is a float
-power-iteration of the lazy walk; the decay-condition checker evaluates
-the tail integral required for the walk-dimension identification.
+power-iteration of the lazy walk.
 """
 
 from __future__ import annotations
@@ -339,59 +338,3 @@ def heat_kernel_diag(
     slope, stderr = _loglog_fit([t for t, _ in usable], [p for _, p in usable])
     window = (usable[0][0], usable[-1][0])
     return HeatProfile(times, tuple(diag), laziness, x, slope, stderr, window, plateau)
-
-
-@dataclass(frozen=True)
-class DecayCheck:
-    finite: bool
-    value: float
-    quadrature_part: float
-    tail_bound: float
-    split_point: float
-
-    def to_json(self) -> dict:
-        return {
-            "finite": self.finite,
-            "value": self.value,
-            "quadrature_part": self.quadrature_part,
-            "tail_bound": self.tail_bound,
-            "split_point": self.split_point,
-        }
-
-
-def decay_condition_check(
-    alpha: float, beta: float, epsilon: float, c: float
-) -> DecayCheck:
-    """Evaluate the integral of s^(alpha+beta+epsilon) * Phi(s) ds/s over
-    (0, inf) for the stretched-exponential profile
-    Phi(s) = exp(-c * s^(beta/(beta-1))).
-
-    Finite for every c > 0; the split integral is quadrature up to a
-    point where the integrand is negligible, plus an exact incomplete-
-    gamma tail.  c <= 0 (no decay) is rejected: the integral diverges.
-    """
-    from scipy import integrate, special
-
-    if beta <= 1:
-        raise ValueError("beta must exceed 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if c <= 0:
-        raise ValueError("c must be positive; the integral diverges without decay")
-    p = alpha + beta + epsilon
-    if p <= 0:
-        raise ValueError("alpha + beta + epsilon must be positive")
-    kappa = beta / (beta - 1.0)
-    split = (40.0 / c) ** (1.0 / kappa)
-
-    def integrand(s: float) -> float:
-        return s ** (p - 1.0) * math.exp(-c * s ** kappa)
-
-    quad_value, _ = integrate.quad(integrand, 0.0, split, limit=200)
-    a = p / kappa
-    tail = (
-        special.gamma(a)
-        * special.gammaincc(a, c * split ** kappa)
-        / (kappa * c ** a)
-    )
-    return DecayCheck(True, quad_value + tail, quad_value, float(tail), split)

@@ -91,10 +91,6 @@ class IfsSpec:
     def ratio(self) -> Fraction:
         return self.maps[0].ratio
 
-    @property
-    def map_count(self) -> int:
-        return len(self.maps)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -303,10 +299,6 @@ class MeasureSample:
     points: tuple[Point, ...]
     depth: int
     seed: int
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, len(self.points))
 
     def float_points(self):
         import numpy as np

@@ -230,13 +230,6 @@ class LogRatio:
             self.argument ** j2 * other.argument ** j1, s1 ** (j1 * j2)
         )
 
-    def scaled(self, factor) -> "LogRatio":
-        """Multiply by an exact rational factor k/m > 0."""
-        f = as_fraction(factor)
-        if f <= 0:
-            raise ValueError("scaling factor must be positive")
-        return LogRatio(self.argument ** f.numerator, self.base ** f.denominator)
-
     def try_exact_rational(self) -> Optional[Fraction]:
         """Return this value as a Fraction if it is rational, else None."""
         if self.argument == 1:

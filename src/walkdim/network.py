@@ -3,9 +3,7 @@
 A network is a sparse symmetric set of positive edge conductances with
 designated boundary vertices.  Interior vertices are eliminated by
 star-mesh steps (the Schur complement of the weighted graph Laplacian),
-which preserves all boundary effective resistances exactly.  A dense
-determinant-based effective-resistance routine (fraction-free Bareiss
-elimination) serves as the independent cross-check.
+which preserves all boundary effective resistances exactly.
 """
 
 from __future__ import annotations
@@ -173,84 +171,6 @@ def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
     adj = _adjacency(net.vertex_count, net.conductances)
     _eliminate(adj, net.interior)
     return _boundary_trace(adj, net.boundary)
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def effective_resistance(net: ConductanceNetwork, a: int, b: int) -> Fraction:
-    """Exact R_eff between a and b via the weighted matrix-tree theorem:
-    R = (spanning 2-forests separating a,b) / (spanning trees), both as
-    Bareiss determinants of reduced integer Laplacians.
-
-    Independent of reduce_boundary by construction (different algorithm),
-    so the two routes cross-check each other.
-    """
-    if a == b:
-        raise ValueError("need two distinct vertices")
-    adj = _adjacency(net.vertex_count, net.conductances)
-    # restrict to the connected component containing a
-    comp = {a}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    if b not in comp:
-        raise ReductionError(f"vertices {a} and {b} are not connected")
-    nodes = sorted(comp)
-    pos = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in net.conductances.items():
-        if i in comp and j in comp:
-            ci = as_fraction(c) if not isinstance(c, float) else None
-            if ci is None:
-                raise TypeError("effective_resistance requires exact conductances")
-            pi, pj = pos[i], pos[j]
-            lap[pi][pi] += ci
-            lap[pj][pj] += ci
-            lap[pi][pj] -= ci
-            lap[pj][pi] -= ci
-    scale = 1
-    for row in lap:
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ints = [[int(x * scale) for x in row] for row in lap]
-    ia, ib = pos[a], pos[b]
-    keep_t = [i for i in range(n) if i != ib]
-    tree_det = _det_bareiss([[ints[r][c] for c in keep_t] for r in keep_t])
-    if tree_det == 0:
-        raise ReductionError("network component is degenerate (no spanning tree)")
-    keep_f = [i for i in range(n) if i not in (ia, ib)]
-    forest_det = _det_bareiss([[ints[r][c] for c in keep_f] for r in keep_f])
-    # determinant scaling: tree minor has n-1 rows, forest minor n-2
-    return Fraction(forest_det * scale, tree_det)
 
 
 def replicate(ifs: IfsSpec, cell_net: ConductanceNetwork) -> ConductanceNetwork:

@@ -1,11 +1,11 @@
 """Independent reference implementations for cross-checking.
 
 Everything here deliberately uses a different algorithm from the
-package: dense Gaussian elimination instead of star-mesh reduction,
-O(n^2) double loops instead of tree-accelerated pair scans, float
-linear solves instead of exact back-substitution, Fraction similitudes
-composed word by word instead of integer lattice numerators.  Slow and
-obvious on purpose.
+package: dense Gaussian elimination and matrix-tree determinants instead
+of star-mesh reduction, O(n^2) double loops instead of tree-accelerated
+pair scans, float linear solves instead of exact back-substitution,
+Fraction similitudes composed word by word instead of integer lattice
+numerators.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 
 import numpy as np
+
+from walkdim.errors import ReductionError
 
 
 def sample_measure_wordwise(ifs, depth: int, count: int, seed: int = 42):
@@ -149,6 +151,82 @@ def effective_resistance_dense(
     rhs[a] = Fraction(1)
     u = solve_dense(lap, rhs, {b: Fraction(0)})
     return u[a]
+
+
+def _det_bareiss(m: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def effective_resistance(net, a: int, b: int) -> Fraction:
+    """Exact R_eff between a and b of a ConductanceNetwork via the
+    weighted matrix-tree theorem: R = (spanning 2-forests separating
+    a,b) / (spanning trees), both as Bareiss determinants of reduced
+    integer Laplacians.  No elimination and no linear solve, so it
+    checks both reduce_boundary and effective_resistance_dense.
+    """
+    if a == b:
+        raise ValueError("need two distinct vertices")
+    adj: dict[int, set[int]] = {v: set() for v in range(net.vertex_count)}
+    for i, j in net.conductances:
+        adj[i].add(j)
+        adj[j].add(i)
+    # restrict to the connected component containing a
+    comp = {a}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in comp:
+                comp.add(w)
+                stack.append(w)
+    if b not in comp:
+        raise ReductionError(f"vertices {a} and {b} are not connected")
+    nodes = sorted(comp)
+    pos = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in net.conductances.items():
+        if i in comp and j in comp:
+            if isinstance(c, float):
+                raise TypeError("effective_resistance requires exact conductances")
+            pi, pj = pos[i], pos[j]
+            lap[pi][pi] += c
+            lap[pj][pj] += c
+            lap[pi][pj] -= c
+            lap[pj][pi] -= c
+    scale = math.lcm(*(x.denominator for row in lap for x in row))
+    ints = [[int(x * scale) for x in row] for row in lap]
+    ia, ib = pos[a], pos[b]
+    keep_t = [i for i in range(n) if i != ib]
+    tree_det = _det_bareiss([[ints[r][c] for c in keep_t] for r in keep_t])
+    if tree_det == 0:
+        raise ReductionError("network component is degenerate (no spanning tree)")
+    keep_f = [i for i in range(n) if i not in (ia, ib)]
+    forest_det = _det_bareiss([[ints[r][c] for c in keep_f] for r in keep_f])
+    # determinant scaling: tree minor has n-1 rows, forest minor n-2
+    return Fraction(forest_det * scale, tree_det)
 
 
 def exit_time_float(

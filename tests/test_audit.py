@@ -10,7 +10,6 @@ from walkdim.audit import (
     VERDICTS,
     as_dimension_report,
     audit_pair,
-    logratio_equal,
     verify_certificate,
 )
 from walkdim.errors import WalkdimError
@@ -171,9 +170,7 @@ class TestSubjectNormalization:
 
 class TestCertificateVerification:
     def test_reduced_pair_verifies(self):
-        cmp = logratio_equal(
-            LogRatio(F(5), F(2)), LogRatio(F(885, 7), F(8))
-        )
+        cmp = LogRatio(F(5), F(2)).compare(LogRatio(F(885, 7), F(8)))
         assert cmp.relation is Relation.DISTINCT
         assert verify_certificate(cmp.certificate)
 

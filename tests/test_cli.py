@@ -261,6 +261,13 @@ class TestBesovFit:
         assert rc == 0
         assert payload["window"] == [1 / 32, 1 / 2]
 
+    def test_low_level_names_its_knobs(self, capsys):
+        rc, payload = run(capsys, "besov-fit", "sg", "-m", "4")
+        assert rc == 1
+        assert payload["error"] == "fit"
+        assert "(-m)" in payload["detail"]
+        assert "(--r-min)" in payload["detail"]
+
 
 class TestPushforward:
     def test_scaling_by_half(self, capsys):

@@ -10,7 +10,6 @@ import walkdim.network
 from oracles import dense_laplacian, exit_time_float, solve_dense
 from walkdim.dirichlet import (
     GraphFunction,
-    decay_condition_check,
     deep_interior_vertex,
     default_time_grid,
     exit_time_profile,
@@ -365,40 +364,3 @@ class TestDefaultTimeGrid:
         assert grid[-1] == 1000
         assert list(grid) == sorted(set(grid))
         assert all(isinstance(t, int) and t >= 1 for t in grid)
-
-
-class TestDecayCondition:
-    @pytest.mark.parametrize(
-        "alpha,beta,eps,c",
-        [
-            (1.58, 2.32, 0.1, 1.0),
-            (1.0, 2.0, 0.5, 0.25),
-            (2.0, 3.0, 0.01, 4.0),
-            (0.5, 1.5, 1.0, 0.1),
-        ],
-    )
-    def test_matches_closed_form(self, alpha, beta, eps, c):
-        from scipy import special
-
-        check = decay_condition_check(alpha, beta, eps, c)
-        p = alpha + beta + eps
-        kappa = beta / (beta - 1.0)
-        want = special.gamma(p / kappa) / (kappa * c ** (p / kappa))
-        assert check.finite
-        assert check.value == pytest.approx(want, rel=1e-9)
-        assert check.value == check.quadrature_part + check.tail_bound
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            decay_condition_check(1.5, 1.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            decay_condition_check(1.5, 2.3, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            decay_condition_check(1.5, 2.3, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            decay_condition_check(-10.0, 2.3, 0.1, 1.0)
-
-    def test_json_round(self):
-        payload = decay_condition_check(1.58, 2.32, 0.1, 1.0).to_json()
-        assert payload["finite"] is True
-        assert payload["value"] > 0

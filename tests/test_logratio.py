@@ -98,13 +98,6 @@ class TestArithmetic:
         with pytest.raises(ArithmeticError):
             LogRatio(2, 3) + LogRatio(2, 5)
 
-    def test_scaled(self):
-        assert ALPHA.scaled(Fraction(2, 3)) == LogRatio(9, 8)
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ALPHA.scaled(0)
-
 
 class TestExactRational:
     def test_integer_value(self):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import effective_resistance_dense, schur_reduce_dense
+from oracles import effective_resistance, effective_resistance_dense, schur_reduce_dense
 from walkdim.errors import ReductionError
 from walkdim.ifs import compose
 from walkdim.logratio import LogRatio
 from walkdim.network import (
     ConductanceNetwork,
     dimension_report_from_constants,
-    effective_resistance,
     reduce_boundary,
     renorm_factor,
     replicate,
