@@ -78,7 +78,6 @@ from .network import (
     dimension_report_from_constants,
     reduce_boundary,
     renorm_factor,
-    replicate,
     unit_complete_network,
     walk_dimension,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "parse_rational",
     "reduce_boundary",
     "renorm_factor",
-    "replicate",
     "sample_measure",
     "solve_weighted_laplacian",
     "unit_complete_network",

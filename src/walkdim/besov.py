@@ -249,15 +249,15 @@ class CriticalExponentEstimate:
 
 
 def _fit(
-    radii: Sequence[float], raws: Iterable[float], window: tuple[float, float], knobs: str
+    radii: Sequence[float], raws: Iterable[float], window: tuple[float, float], knob: str
 ) -> CriticalExponentEstimate:
     """Log-log slope over the radii inside the window whose raw
-    oscillation is positive; with fewer than four, FitError naming `knobs`."""
+    oscillation is positive; with fewer than four, FitError naming `knob`."""
     r_min, r_max = window
     usable = [(r, raw) for r, raw in zip(radii, raws) if raw > 0 and r_min <= r <= r_max]
     if len(usable) < 4:
         raise FitError(
-            f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4; {knobs}"
+            f"{len(usable)} usable radii in window [{r_min}, {r_max}]; need >= 4; {knob}"
         )
     used, values = zip(*usable)
     return CriticalExponentEstimate(
@@ -288,8 +288,10 @@ def critical_exponent_fit(
         radii = tuple(r_grid)
     rows = besov_functional(source, u, sigma=0.0, r_grid=radii).rows
     more = "the level (-m)" if isinstance(source, LevelGraph) else "the sample count (--sample)"
-    knobs = f"raise {more} or lower the window's lower edge (--r-min)"
-    return _fit([row.r for row in rows], [row.raw for row in rows], r_window, knobs)
+    # with fewer than four grid radii in the window, only a wider window adds radii
+    in_window = sum(r_min <= r <= r_max for r in radii)
+    knob = f"raise {more}" if in_window >= 4 else "lower the window's lower edge (--r-min)"
+    return _fit([row.r for row in rows], [row.raw for row in rows], r_window, knob)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from .errors import FitError
 from .ifs import IfsSpec, ensure_valid
 from .levelgraph import LevelGraph, _check_level, build_level_graph, vertex_measure_weights
-from .network import _adjacency, _back_substitute, _eliminate, _refine, unit_complete_network
+from .network import _back_substitute, _eliminate, _matrix, _refine, unit_complete_network
 from .rational import as_fraction, format_rational
 
 if TYPE_CHECKING:
@@ -47,18 +47,18 @@ def solve_weighted_laplacian(
     fixed: dict[int, Value],
 ) -> list[Value]:
     """Solve (L u)(v) = rhs(v) for v outside `fixed`, with u = fixed on
-    the rest, by sparse star-mesh elimination plus back-substitution.
+    the rest, by sparse elimination (rhs as the ground column) and
+    back-substitution with ground value 1.
 
     Exact when all inputs are Fractions.  Raises if some free vertex has
     no path to anywhere (singular block).
     """
-    adj = _adjacency(vertex_count, edges)
-    load: list[Value] = [rhs.get(v, 0) for v in range(vertex_count)]
-    order = _eliminate(adj, set(range(vertex_count)) - set(fixed), load)
-    values: list[Optional[Value]] = [None] * vertex_count
+    rows = _matrix(vertex_count, edges, rhs)
+    order = _eliminate(rows, set(range(vertex_count)) - set(fixed))
+    values: list[Optional[Value]] = [None] * vertex_count + [1]
     for v, x in fixed.items():
         values[v] = x
-    return _back_substitute(order, values)  # type: ignore[return-value]
+    return _back_substitute(order, values)[:vertex_count]  # type: ignore[return-value]
 
 
 def _unit_levels(ifs: IfsSpec, m: int) -> list[tuple]:

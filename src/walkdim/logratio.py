@@ -64,15 +64,6 @@ class Comparison:
     float_gap: float
     route: str  # "exact" or "float"
 
-    def render(self) -> str:
-        if self.relation is Relation.EQUAL:
-            return "equal (exact)"
-        if self.relation is Relation.DISTINCT:
-            if self.certificate is not None:
-                return f"distinct: {self.certificate.render()}"
-            return f"distinct: float gap {self.float_gap:.3e}"
-        return f"inconclusive: float gap {self.float_gap:.3e}"
-
 
 def _oriented_certificate(
     li: int,

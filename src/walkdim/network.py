@@ -83,141 +83,122 @@ def unit_complete_network(k: int) -> ConductanceNetwork:
     return ConductanceNetwork(k, edges, tuple(range(k)))
 
 
-def _adjacency(
-    vertex_count: int, edges: dict[Edge, Conductance]
+def _matrix(
+    vertex_count: int, edges: dict[Edge, Conductance], load: dict[int, Conductance]
 ) -> list[dict[int, Conductance]]:
-    """Symmetric neighbor maps; parallel edges add, zero edges are dropped."""
-    adj: list[dict[int, Conductance]] = [dict() for _ in range(vertex_count)]
+    """Rows of the symmetric matrix [[L, -l], [-l^T, 0]]: the Laplacian L
+    of `edges` (parallel edges add), diagonal included, and a ground
+    index `vertex_count` whose column is minus the load l; no zeros."""
+    rows: list[dict[int, Conductance]] = [dict() for _ in range(vertex_count + 1)]
     for (i, j), c in edges.items():
         if c == 0:
             continue
-        adj[i][j] = adj[i].get(j, 0) + c
-        adj[j][i] = adj[j].get(i, 0) + c
-    return adj
+        for a, b in ((i, j), (j, i)):
+            rows[a][b] = rows[a].get(b, 0) - c
+            rows[a][a] = rows[a].get(a, 0) + c
+    for v, x in load.items():
+        if x != 0:
+            rows[v][vertex_count] = rows[vertex_count][v] = -x
+    return rows
 
 
-def _eliminate(
-    adj: list[dict[int, Conductance]],
-    vertices: Iterable[int],
-    load: Optional[list[Conductance]] = None,
-) -> list[tuple]:
-    """Star-mesh elimination of `vertices` from `adj`, in place, least
-    degree first (lowest index on ties); `adj` is left holding the Schur
-    complement on the other vertices.  A load moves to the neighbors in
-    proportion to their conductances.  Returns (vertex, star, total
-    conductance, load) per step, in order, for back-substitution."""
+def _eliminate(rows: list[dict[int, Conductance]], vertices: Iterable[int]) -> list[tuple]:
+    """Schur steps on the symmetric matrix `rows`, in place, pivoting on
+    the diagonal of each of `vertices`, shortest row first (lowest index
+    on ties); `rows` is left holding the Schur complement.  On a
+    Laplacian this is the star-mesh step, and the ground column moves
+    each load to the neighbors in proportion to their conductances.
+    Returns (vertex, off-diagonal row, pivot) per step, in order."""
     remaining = set(vertices)
     order: list[tuple] = []
     while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        v = min(remaining, key=lambda u: (len(rows[u]), u))
         remaining.discard(v)
-        star = list(adj[v].items())
-        d = sum(c for _, c in star)
-        if d == 0:
+        row, rows[v] = rows[v], {}
+        pivot = row.pop(v, 0)
+        if pivot == 0:
             raise ReductionError(
                 f"vertex {v} has no neighbors left; the Schur complement is singular"
             )
-        lv = 0 if load is None else load[v]
-        order.append((v, star, d, lv))
+        star = list(row.items())
+        order.append((v, star, pivot))
         for w, _ in star:
-            del adj[w][v]
-        adj[v] = {}
-        for a_pos in range(len(star)):
-            a, ca = star[a_pos]
-            if load is not None:
-                load[a] = load[a] + ca * lv / d
-            for b_pos in range(a_pos + 1, len(star)):
-                b, cb = star[b_pos]
-                add = ca * cb / d
-                adj[a][b] = adj[a].get(b, 0) + add
-                adj[b][a] = adj[b].get(a, 0) + add
+            del rows[w][v]
+        for a_pos, (a, x) in enumerate(star):
+            row_a = rows[a]
+            for b, y in star[a_pos:]:
+                row_a[b] = row_a.get(b, 0) - x * y / pivot
+                if b != a:
+                    rows[b][a] = row_a[b]
     return order
 
 
-def _back_substitute(order: list[tuple], values: list, loaded: bool = True) -> list:
-    """Fill in the vertices eliminated in `order`, last step first: each
-    takes the conductance-weighted mean of its star, plus its load over
-    the star's total conductance when `loaded`."""
-    for v, star, d, lv in reversed(order):
-        acc = lv if loaded else 0
-        for w, c in star:
-            acc = acc + c * values[w]
-        values[v] = acc / d
+def _back_substitute(order: list[tuple], values: list) -> list:
+    """Fill in the vertices eliminated in `order`, last step first, from
+    the values already known; the ground value scales the load (1 to
+    solve with it, 0 to interpolate without)."""
+    for v, star, pivot in reversed(order):
+        values[v] = -sum(x * values[w] for w, x in star) / pivot
     return values
 
 
 def _boundary_trace(
-    adj: list[dict[int, Conductance]], boundary: tuple[int, ...]
+    rows: list[dict[int, Conductance]], boundary: tuple[int, ...]
 ) -> ConductanceNetwork:
-    """The network `adj` leaves on `boundary`, re-indexed to boundary order."""
+    """The network a Laplacian's Schur complement `rows` leaves on
+    `boundary`, re-indexed to boundary order."""
     remap = {old: new for new, old in enumerate(boundary)}
     edges: dict[Edge, Conductance] = {}
     for old_i, new_i in remap.items():
-        for old_j, c in adj[old_i].items():
-            new_j = remap[old_j]
+        for old_j, x in rows[old_i].items():
+            new_j = remap.get(old_j, -1)
             if new_i < new_j:
-                edges[(new_i, new_j)] = c
+                edges[(new_i, new_j)] = -x
     return ConductanceNetwork(len(boundary), edges, tuple(range(len(boundary))))
 
 
 def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
-    """Eliminate all interior vertices by star-mesh steps.
-
-    Equivalent to the Schur complement of the weighted Laplacian onto
-    the boundary block; boundary effective resistances are preserved
-    exactly.  Interior vertices are eliminated in min-degree order to
-    limit fill-in.  The result is re-indexed to boundary order.
-    """
-    adj = _adjacency(net.vertex_count, net.conductances)
-    _eliminate(adj, net.interior)
-    return _boundary_trace(adj, net.boundary)
-
-
-def replicate(ifs: IfsSpec, cell_net: ConductanceNetwork) -> ConductanceNetwork:
-    """One copy of cell_net per map, glued at identified level-1 points;
-    parallel edges add.  Boundary of the result is V0."""
-    ensure_valid(ifs)
-    k = len(ifs.boundary)
-    if cell_net.vertex_count != k:
-        raise ValueError(
-            f"cell network must live on the {k} boundary vertices, "
-            f"got {cell_net.vertex_count}"
-        )
-    g1 = build_level_graph(ifs, 1)
-    edges: dict[Edge, Conductance] = {}
-    for cell in g1.cells:
-        for (a, b), c in cell_net.conductances.items():
-            i, j = cell[a], cell[b]
-            key = (i, j) if i < j else (j, i)
-            edges[key] = edges.get(key, 0) + c
-    return ConductanceNetwork(g1.vertex_count, edges, g1.boundary_indices())
+    """Eliminate all interior vertices by star-mesh steps, min-degree
+    first: the Schur complement of the weighted Laplacian onto the
+    boundary, which preserves boundary effective resistances exactly.
+    The result is re-indexed to boundary order."""
+    rows = _matrix(net.vertex_count, net.conductances, {})
+    _eliminate(rows, net.interior)
+    return _boundary_trace(rows, net.boundary)
 
 
 def _refine(
     ifs: IfsSpec, cell_net: ConductanceNetwork, cell_load: tuple[Conductance, ...]
 ) -> tuple[ConductanceNetwork, tuple[Conductance, ...], tuple[tuple, ...]]:
     """One refinement step of a cell problem: one copy of `cell_net` per
-    map, each carrying `cell_load` on its corners, with the level-1
+    map, each carrying `cell_load` on its corners, glued at identified
+    level-1 points (parallel edges and loads add), with the level-1
     interior eliminated once.
 
     Returns the trace on V0, the load left on V0, and the V0 -> V1
     harmonic interpolation matrix (one row of k corner weights per
-    level-1 vertex), read by a load-free back-substitution."""
-    net = replicate(ifs, cell_net)
-    load: list[Conductance] = [0] * net.vertex_count
-    for cell in build_level_graph(ifs, 1).cells:
+    level-1 vertex), read by a back-substitution with ground value 0."""
+    g1 = build_level_graph(ifs, 1)
+    n = g1.vertex_count
+    edges: dict[Edge, Conductance] = {}
+    load: dict[int, Conductance] = {}
+    for cell in g1.cells:
+        for (a, b), c in cell_net.conductances.items():
+            key = (cell[a], cell[b])
+            edges[key] = edges.get(key, 0) + c
         for v, x in zip(cell, cell_load):
-            load[v] = load[v] + x
-    adj = _adjacency(net.vertex_count, net.conductances)
-    order = _eliminate(adj, net.interior, load)
+            load[v] = load.get(v, 0) + x
+    rows = _matrix(n, edges, load)
+    boundary = g1.boundary_indices()
+    order = _eliminate(rows, set(range(n)) - set(boundary))
     cols = []
-    for b in net.boundary:
-        col: list = [None] * net.vertex_count
-        for a in net.boundary:
+    for b in boundary:
+        col: list = [None] * n + [0]
+        for a in boundary:
             col[a] = Fraction(a == b)
-        cols.append(_back_substitute(order, col, loaded=False))
-    matrix = tuple(zip(*cols))
-    return _boundary_trace(adj, net.boundary), tuple(load[a] for a in net.boundary), matrix
+        cols.append(_back_substitute(order, col)[:n])
+    left = tuple(-rows[a].get(n, 0) for a in boundary)
+    return _boundary_trace(rows, boundary), left, tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -247,14 +228,15 @@ def renorm_factor(
     level-m sum is scaled by (1/mu)^m, so r^{-1} = 1/mu.
 
     Exact route: if the uniform unit network on V0 is a fixed direction
-    of reduce(replicate(.)) (true for every symmetric gasket shipped),
-    mu is read off as an exact rational.  Otherwise a normalized float
-    fixed-direction iteration runs until the direction stabilizes.
+    of one load-free refinement step (true for every symmetric gasket
+    shipped), mu is read off as an exact rational.  Otherwise a
+    normalized float fixed-direction iteration of that step runs until
+    the direction stabilizes.
     """
     ensure_valid(ifs)
     k = len(ifs.boundary)
     c0 = unit_complete_network(k)
-    reduced = reduce_boundary(replicate(ifs, c0))
+    reduced = _refine(ifs, c0, (0,) * k)[0]
     values = [reduced.edge(i, j) for i in range(k) for j in range(i + 1, k)]
     if all(isinstance(v, Fraction) for v in values) and len(set(values)) == 1 and values[0] > 0:
         mu = values[0]
@@ -266,7 +248,7 @@ def renorm_factor(
     mu_prev: Optional[float] = None
     for it in range(1, max_iter + 1):
         net = ConductanceNetwork(k, dict(cur), tuple(range(k)))
-        nxt = reduce_boundary(replicate(ifs, net))
+        nxt = _refine(ifs, net, (0,) * k)[0]
         total_old = sum(cur.values())
         nxt_vals = {e: float(nxt.edge(*e)) for e in edge_keys}
         total_new = sum(nxt_vals.values())

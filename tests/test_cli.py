@@ -262,11 +262,20 @@ class TestBesovFit:
         assert payload["window"] == [1 / 32, 1 / 2]
 
     def test_low_level_names_its_knobs(self, capsys):
+        # all five default radii lie in the window, so only a level adds radii
         rc, payload = run(capsys, "besov-fit", "sg", "-m", "4")
         assert rc == 1
         assert payload["error"] == "fit"
         assert "(-m)" in payload["detail"]
+        assert "(--r-min)" not in payload["detail"]
+
+    def test_narrow_window_names_r_min(self, capsys):
+        # only 1/2 and 1/4 lie in [1/4, 1/2]; no level adds a radius
+        rc, payload = run(capsys, "besov-fit", "sg", "-m", "7", "--r-min", "1/4")
+        assert rc == 1
+        assert payload["error"] == "fit"
         assert "(--r-min)" in payload["detail"]
+        assert "(-m)" not in payload["detail"]
 
 
 class TestPushforward:

@@ -1,20 +1,28 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import effective_resistance, effective_resistance_dense, schur_reduce_dense
+from oracles import (
+    dense_laplacian,
+    effective_resistance,
+    effective_resistance_dense,
+    schur_reduce_dense,
+    solve_dense,
+)
 from walkdim.errors import ReductionError
 from walkdim.ifs import compose
+from walkdim.levelgraph import build_level_graph
 from walkdim.logratio import LogRatio
 from walkdim.network import (
     ConductanceNetwork,
     dimension_report_from_constants,
+    _refine,
     reduce_boundary,
     renorm_factor,
-    replicate,
     unit_complete_network,
     walk_dimension,
 )
@@ -156,17 +164,55 @@ class TestEffectiveResistance:
             effective_resistance(net, 0, 3)
 
 
-class TestReplicate:
-    def test_sg_one_level(self, sg):
-        rep = replicate(sg, unit_complete_network(3))
-        assert rep.vertex_count == 6
-        assert len(rep.conductances) == 9
-        assert len(rep.boundary) == 3
+class TestRefine:
+    @staticmethod
+    def glue(ifs, cell_net, cell_load):
+        """The level-1 network and loads, one copy of the cell per map."""
+        g1 = build_level_graph(ifs, 1)
+        edges, load = {}, [F(0)] * g1.vertex_count
+        for cell in g1.cells:
+            for (a, b), c in cell_net.conductances.items():
+                key = tuple(sorted((cell[a], cell[b])))
+                edges[key] = edges.get(key, 0) + c
+            for v, x in zip(cell, cell_load):
+                load[v] += x
+        return g1, edges, load
 
-    def test_conductances_add_on_shared_edges(self, sg):
+    def test_sg_unit_network_glues_to_six_vertices(self, sg):
+        g1, edges, _ = self.glue(sg, unit_complete_network(3), (F(0),) * 3)
+        assert g1.vertex_count == 6 and len(g1.boundary_indices()) == 3
         # no two sg cells share an edge, so every conductance stays 1
-        rep = replicate(sg, unit_complete_network(3))
-        assert set(rep.conductances.values()) == {F(1)}
+        assert len(edges) == 9 and set(edges.values()) == {F(1)}
+
+    @pytest.mark.parametrize("name", ["sg", "segment", "hook"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_dense_oracles(self, request, name, seed):
+        ifs = request.getfixturevalue(name)
+        rng = random.Random(seed)
+        k = len(ifs.boundary)
+        cell_net = ConductanceNetwork(
+            k,
+            {(i, j): F(rng.randint(1, 9), rng.randint(1, 9)) for i in range(k) for j in range(i + 1, k)},
+            tuple(range(k)),
+        )
+        cell_load = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k))
+        trace, left, interp = _refine(ifs, cell_net, cell_load)
+
+        g1, edges, load = self.glue(ifs, cell_net, cell_load)
+        bidx = g1.boundary_indices()
+        assert trace.conductances == schur_reduce_dense(g1.vertex_count, edges, bidx)
+        lap = dense_laplacian(g1.vertex_count, edges)
+        # u solves L u = l inside with u = 0 on V0
+        u = solve_dense(lap, load, {b: F(0) for b in bidx})
+        # the load left on b is l_b + sum over the interior of c_bv u_v
+        assert left == tuple(
+            load[b] + sum(-lap[b][v] * u[v] for v in range(g1.vertex_count) if v not in bidx)
+            for b in bidx
+        )
+        # column a of the interpolation matrix is the harmonic extension of e_a
+        for a, col in enumerate(zip(*interp)):
+            fixed = {b: F(a == pos) for pos, b in enumerate(bidx)}
+            assert list(col) == solve_dense(lap, [F(0)] * g1.vertex_count, fixed)
 
 
 class TestRenorm:
@@ -195,13 +241,13 @@ class TestRenorm:
         # route runs; its fixed direction is (s, s, 3 - 2s) with
         # s = (sqrt(33) - 3)/2
         res = renorm_factor(hook)
-        assert res.exact is False and res.iterations > 0
+        assert res.exact is False and res.iterations == 33
         fixed = res.fixed_network.conductances
         assert sum(fixed.values()) == pytest.approx(3, abs=1e-12)
         s = (math.sqrt(33) - 3) / 2
         assert sum(abs(c - s) <= 1e-12 for c in fixed.values()) == 2
         mu = 1 / res.energy_scale
-        reduced = reduce_boundary(replicate(hook, res.fixed_network))
+        reduced = _refine(hook, res.fixed_network, (0, 0, 0))[0]
         for e, c in fixed.items():
             assert reduced.edge(*e) == pytest.approx(mu * c, rel=1e-10)
 
