@@ -164,26 +164,33 @@ class TestEffectiveResistance:
             effective_resistance(net, 0, 3)
 
 
-class TestRefine:
-    @staticmethod
-    def glue(ifs, cell_net, cell_load):
-        """The level-1 network and loads, one copy of the cell per map."""
-        g1 = build_level_graph(ifs, 1)
-        edges, load = {}, [F(0)] * g1.vertex_count
-        for cell in g1.cells:
-            for (a, b), c in cell_net.conductances.items():
-                key = tuple(sorted((cell[a], cell[b])))
-                edges[key] = edges.get(key, 0) + c
-            for v, x in zip(cell, cell_load):
-                load[v] += x
-        return g1, edges, load
+def glue(ifs, cell_net, cell_load):
+    """The level-1 network and loads, one copy of the cell per map."""
+    g1 = build_level_graph(ifs, 1)
+    edges, load = {}, [F(0)] * g1.vertex_count
+    for cell in g1.cells:
+        for (a, b), c in cell_net.conductances.items():
+            key = tuple(sorted((cell[a], cell[b])))
+            edges[key] = edges.get(key, 0) + c
+        for v, x in zip(cell, cell_load):
+            load[v] += x
+    return g1, edges, load
 
-    def test_sg_unit_network_glues_to_six_vertices(self, sg):
-        g1, edges, _ = self.glue(sg, unit_complete_network(3), (F(0),) * 3)
-        assert g1.vertex_count == 6 and len(g1.boundary_indices()) == 3
+
+class TestReplicate:
+    def test_sg_one_level(self, sg):
+        g1, edges, _ = glue(sg, unit_complete_network(3), (F(0),) * 3)
+        assert g1.vertex_count == 6
+        assert len(edges) == 9
+        assert len(g1.boundary_indices()) == 3
+
+    def test_conductances_add_on_shared_edges(self, sg):
         # no two sg cells share an edge, so every conductance stays 1
-        assert len(edges) == 9 and set(edges.values()) == {F(1)}
+        _, edges, _ = glue(sg, unit_complete_network(3), (F(0),) * 3)
+        assert set(edges.values()) == {F(1)}
 
+
+class TestRefine:
     @pytest.mark.parametrize("name", ["sg", "segment", "hook"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_dense_oracles(self, request, name, seed):
@@ -198,7 +205,7 @@ class TestRefine:
         cell_load = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k))
         trace, left, interp = _refine(ifs, cell_net, cell_load)
 
-        g1, edges, load = self.glue(ifs, cell_net, cell_load)
+        g1, edges, load = glue(ifs, cell_net, cell_load)
         bidx = g1.boundary_indices()
         assert trace.conductances == schur_reduce_dense(g1.vertex_count, edges, bidx)
         lap = dense_laplacian(g1.vertex_count, edges)
