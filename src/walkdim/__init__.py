@@ -3,9 +3,10 @@
 Exact Hausdorff dimension, Dirichlet-form renormalization, and walk
 dimension for finitely ramified rotation-free attractors, with
 stochastic and oscillation-based estimators that cross-check the exact
-values, and a certified pairwise non-equivalence audit.  numpy and scipy
-are imported inside the float estimators that use them, so the exact
-routes run without loading either.
+values, and a certified pairwise non-equivalence audit.  numpy is
+imported inside the float estimators, so the exact routes run without
+it; scipy only inside `alfors_check`, for ball counts on measure
+samples.
 """
 
 from .audit import (

@@ -5,9 +5,10 @@ over open balls B(x,r) normalized by empirical ball volumes, which is
 the discrete counterpart of the sup-over-r functional whose critical
 exponent recovers the walk dimension.  Point clouds come from level
 graphs (exact weights) or measure samples (uniform weights).  A scan
-enumerates its point pairs once, with one k-d query at its largest
-radius, and keeps each radius's open-ball pairs by a mask on the squared
-distances; the pushforward audit makes one such scan per cloud.
+enumerates its point pairs once, in blocks of rows of squared distances
+kept below its largest radius, and keeps each radius's open-ball pairs
+by a mask on those squared distances; the pushforward audit makes one
+such scan per cloud.
 
 The float open-ball test d^2 < r^2 is exact when no lattice distance
 lies within rounding of r: always for dyadic coordinates and radii, and
@@ -97,28 +98,51 @@ def _radius_grid(r_grid: Optional[Sequence[float]]) -> tuple:
     return radii
 
 
+# Candidate pairs per block of the pair scan (512 KB of float64 d^2).
+PAIR_BLOCK = 2 ** 16
+
+
 def _pairs_by_radius(
     points: np.ndarray, radii: Sequence[float]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per radius, in the given order: the index pairs (i, j), i < j,
-    with d(x_i, x_j) < r strictly (open balls), sorted by (i, j).
+    """Per radius, in the given order: the int32 index pairs (i, j),
+    i < j, with d(x_i, x_j) < r strictly (open balls), sorted by (i, j).
 
-    The canonical order makes accumulation independent of how the tree
-    enumerates pairs; a masked subset of a sorted list stays sorted, so
-    every radius sees its pairs in that order.  This is the only place
-    that allocates pairs, so it checks the pair-scan limit before the
-    k-d query.
+    The squared distances are computed for blocks of consecutive rows i
+    against every column j > i, about PAIR_BLOCK candidates a block, and
+    the pairs below the largest radius are kept in row-major order, so
+    the list comes out sorted by (i, j); a masked subset of a sorted list
+    stays sorted, so every radius sees its pairs in that order.  Every
+    scan costs n(n-1)/2 distances whatever its radii.  At the default
+    window that is no loss, since about half of all pairs lie within
+    r = 1/2; but a narrow scan pays it too: 20000 sample points at
+    r = 1/64 take about 1.2 s, against 0.03 s for a k-d tree query and
+    sort (2-core x86-64, CPython 3.11).  This is the only place that
+    allocates pairs, so it checks the pair-scan limit before the first
+    block.
     """
     import numpy as np
-    from scipy.spatial import cKDTree
 
     n = len(points)
     _check_pair_budget(n)
-    pairs = cKDTree(points).query_pairs(max(radii), output_type="ndarray")
-    i, j = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
-    del pairs  # this frame lives until the last radius is yielded
     x, y = np.ascontiguousarray(points.T)
-    d2 = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
+    bound = max(radii) * max(radii)
+    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
+    start = 0
+    while start < n - 1:
+        stop = min(n - 1, start + max(1, PAIR_BLOCK // (n - 1 - start)))
+        # entry (a, b) is the pair (start + a, start + 1 + b), so i < j iff a <= b
+        d2 = x[start:stop, None] - x[start + 1 :]
+        d2 *= d2
+        dy = y[start:stop, None] - y[start + 1 :]
+        d2 += dy * dy
+        keep = d2 < bound
+        keep[:, : stop - start] = np.triu(keep[:, : stop - start])
+        a, b = np.nonzero(keep)
+        blocks.append((a.astype(np.int32) + start, b.astype(np.int32) + (start + 1), d2[keep]))
+        start = stop
+    i, j, d2 = map(np.concatenate, zip(*blocks))
+    del blocks  # this frame lives until the last radius is yielded
     for r in radii:
         keep = d2 < r * r
         yield i[keep], j[keep]

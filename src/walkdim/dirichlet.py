@@ -282,7 +282,6 @@ def heat_kernel_diag(
     two-sided power-law regime).
     """
     import numpy as np
-    from scipy import sparse
 
     ensure_valid(ifs)
     if not (0 < laziness < 1):
@@ -296,34 +295,37 @@ def heat_kernel_diag(
     if not times or times[0] < 1:
         raise ValueError("time grid must contain positive integers")
 
-    degrees = np.zeros(n)
-    rows, cols, data = [], [], []
-    for i, j in g.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    for i, j in g.edges:
-        rows.extend([i, j])
-        cols.extend([j, i])
-        data.extend([1.0, 1.0])
-    adjacency = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    inv_deg = sparse.diags(1.0 / degrees)
-    step = sparse.eye(n) * laziness + (1.0 - laziness) * (inv_deg @ adjacency)
-    step = sparse.csr_matrix(step)
+    # P^T as a padded table: slot s of column v holds the s-th entry
+    # P(u, v), u ascending (v itself included, weight `laziness`); the
+    # padding has weight 0.  A step sums the slots in order, as a sparse
+    # row-by-vector product sums a row.
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    degrees = np.bincount(ends.ravel(), minlength=n).astype(float)
+    move = (1.0 - laziness) * (1.0 / degrees)
+    stay = np.arange(n)
+    src = np.concatenate([ends[:, 0], ends[:, 1], stay])
+    dst = np.concatenate([ends[:, 1], ends[:, 0], stay])
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    slot = np.arange(len(dst)) - np.searchsorted(dst, dst)
+    cols = np.zeros((slot.max() + 1, n), dtype=np.intp)
+    weights = np.zeros(cols.shape)
+    cols[slot, dst] = src
+    weights[slot, dst] = np.where(src == dst, laziness, move[src])
 
-    weights = np.array([float(w) for w in vertex_measure_weights(g)])
+    measure = np.array([float(w) for w in vertex_measure_weights(g)])
     pi = degrees / degrees.sum()
-    plateau = float(pi[x] / weights[x])
+    plateau = float(pi[x] / measure[x])
 
     vec = np.zeros(n)
     vec[x] = 1.0
     diag: list[float] = []
     t_prev = 0
-    stepT = step.T.tocsr()
     for t in times:
         for _ in range(t - t_prev):
-            vec = stepT @ vec
+            vec = np.einsum("sv,sv->v", weights, vec[cols])
         t_prev = t
-        diag.append(float(vec[x]) / weights[x])
+        diag.append(float(vec[x]) / measure[x])
 
     usable = [
         (t, p)

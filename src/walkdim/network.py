@@ -8,6 +8,7 @@ which preserves all boundary effective resistances exactly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,9 +111,16 @@ def _eliminate(rows: list[dict[int, Conductance]], vertices: Iterable[int]) -> l
     each load to the neighbors in proportion to their conductances.
     Returns (vertex, off-diagonal row, pivot) per step, in order."""
     remaining = set(vertices)
+    # (row length, vertex) entries; one whose vertex is gone or whose
+    # length is out of date is skipped, so the first live entry is the
+    # minimum over `remaining`
+    heap = [(len(rows[u]), u) for u in remaining]
+    heapq.heapify(heap)
     order: list[tuple] = []
     while remaining:
-        v = min(remaining, key=lambda u: (len(rows[u]), u))
+        length, v = heapq.heappop(heap)
+        if v not in remaining or length != len(rows[v]):
+            continue
         remaining.discard(v)
         row, rows[v] = rows[v], {}
         pivot = row.pop(v, 0)
@@ -130,6 +138,8 @@ def _eliminate(rows: list[dict[int, Conductance]], vertices: Iterable[int]) -> l
                 row_a[b] = row_a.get(b, 0) - x * y / pivot
                 if b != a:
                     rows[b][a] = row_a[b]
+            if a in remaining:
+                heapq.heappush(heap, (len(row_a), a))
     return order
 
 

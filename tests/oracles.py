@@ -251,6 +251,46 @@ def exit_time_float(
     return float(out[start])
 
 
+def min_degree_order(rows, vertices) -> list[int]:
+    """The pivot order of a Schur elimination that always takes the
+    shortest row (lowest index on ties), by a full scan each step over
+    the rows' index sets: eliminating v leaves its star S fully joined
+    (a diagonal included) and drops v; entries that cancel stay."""
+    sets = [set(row) for row in rows]
+    remaining, order = set(vertices), []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(sets[u]), u))
+        remaining.discard(v)
+        star = sets[v] - {v}
+        for a in star:
+            sets[a] |= star
+            sets[a].discard(v)
+        order.append(v)
+    return order
+
+
+def heat_diag_dense(graph, laziness: float, times, x: int) -> list[float]:
+    """P^t(x,x)/w(x) at each t of `times` (ascending), by stepping the
+    row vector e_x through the dense lazy-walk matrix P; w(x) is the
+    cells containing x over N^m * k."""
+    n = graph.vertex_count
+    adj = np.zeros((n, n))
+    for i, j in graph.edges:
+        adj[i, j] = adj[j, i] = 1.0
+    walk = laziness * np.eye(n) + (1.0 - laziness) * adj / adj.sum(axis=1)[:, None]
+    cells = sum(x in cell for cell in graph.cells)
+    w = cells / (len(graph.ifs.maps) ** graph.level * len(graph.ifs.boundary))
+    row = np.zeros(n)
+    row[x] = 1.0
+    out, done = [], 0
+    for t in times:
+        for _ in range(t - done):
+            row = row @ walk
+        done = t
+        out.append(float(row[x]) / w)
+    return out
+
+
 def ball_volumes_brute(pts: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
     """V(x,r) per point: total weight within the open ball, double loop."""
     n = len(pts)

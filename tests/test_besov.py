@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.spatial
 
 from oracles import (
     ball_volumes_brute,
@@ -68,8 +67,49 @@ class TestPairsByRadius:
     def test_matches_brute_open_balls(self, request, system, level, radii):
         g = build_level_graph(request.getfixturevalue(system), level)
         pts = np.array([[float(x), float(y)] for x, y in g.vertices])
+        self.assert_brute(pts, radii)
+
+    @staticmethod
+    def assert_brute(pts, radii):
         for r, (i, j) in zip(radii, _pairs_by_radius(pts, radii), strict=True):
             assert list(zip(i.tolist(), j.tolist())) == open_ball_pairs_brute(pts, r)
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    @pytest.mark.parametrize(
+        "system, level, radii",
+        [("sg", 3, [0.5, 0.125, 0.3]), ("hook", 2, [0.2, 1 / 9, 0.5, 0.2, 1 / 3, 0.05, 0.5])],
+    )
+    def test_block_boundaries(self, request, monkeypatch, system, level, radii, block):
+        # blocks of 1, 7 or 50 candidates hold one row while the rows are
+        # long, several rows (the triangle below the diagonal masked) once
+        # they are short, and the last block is cut at row n - 2
+        monkeypatch.setattr(besov, "PAIR_BLOCK", block)
+        g = build_level_graph(request.getfixturevalue(system), level)
+        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
+        self.assert_brute(pts, radii)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_clouds(self, n):
+        pts = np.array([[0.0, 0.0], [0.25, 0.0]])[:n].reshape(n, 2)
+        scans = list(_pairs_by_radius(pts, [0.5, 0.25, 0.125]))
+        assert len(scans) == 3
+        self.assert_brute(pts, [0.5, 0.25, 0.125])
+        assert [len(i) for i, _ in scans] == [int(n == 2), 0, 0]
+
+    def test_duplicate_points(self, monkeypatch):
+        monkeypatch.setattr(besov, "PAIR_BLOCK", 5)
+        pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.25, 0.5]])
+        self.assert_brute(pts, [0.5, 0.125, 0.001])
+        i, j = next(_pairs_by_radius(pts, [0.001]))
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (0, 3), (2, 3)]
+
+    def test_radius_above_diameter(self, sg):
+        g = build_level_graph(sg, 2)
+        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
+        n = len(pts)
+        (i, _), _ = _pairs_by_radius(pts, [1.5, 0.5])  # the diameter is sqrt(2)
+        assert len(i) == n * (n - 1) // 2
+        self.assert_brute(pts, [1.5, 0.5])
 
 
 class TestBesovFunctional:
@@ -464,11 +504,13 @@ class TestPushforward:
         g = build_level_graph(sg, 9)
         assert g.vertex_count == 29526
         u = GraphFunction(g, (F(0),) * g.vertex_count)
-        trees = []
-        # besov imports cKDTree inside each scan, so patch it at its source
-        monkeypatch.setattr(scipy.spatial, "cKDTree", lambda *args, **kwargs: trees.append(args))
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a pair block was computed before the budget check")
+
+        # each pair block picks its pairs with np.nonzero
+        monkeypatch.setattr(np, "nonzero", no_blocks)
         with pytest.raises(BudgetExceeded):
             pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, u)
         with pytest.raises(BudgetExceeded):
             alfors_check(g, ALPHA)  # level-graph weights: the weighted path
-        assert trees == []

@@ -419,16 +419,19 @@ for line in sys.argv[1:]:
         assert walkdim.cli.main(line.split()) == 0, line
 loaded = sorted({"numpy", "scipy"} & set(sys.modules))
 assert not loaded, f"exact commands loaded {loaded}"
-with contextlib.redirect_stdout(io.StringIO()):
-    assert walkdim.cli.main(["besov-fit", "sg", "-m", "5"]) == 0
-assert "scipy.spatial" in sys.modules
+for line in ("heat-fit sg -m 5", "besov-fit sg -m 5", "pushforward sg -m 5 --scale 1/2"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert walkdim.cli.main(line.split()) == 0, line
+assert "numpy" in sys.modules
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"float estimators loaded {loaded}"
 """
 
 
 def test_exact_commands_load_no_numpy_or_scipy():
-    """Exact commands start without numpy and scipy; a float estimator
-    still imports them on first use.  A fresh interpreter, since this
-    one has them loaded already."""
+    """Exact commands start without numpy and scipy; the float
+    estimators then import numpy and never scipy.  A fresh interpreter,
+    since this one has both loaded already."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_FLOAT_STACK, *EXACT_COMMANDS],
@@ -449,11 +452,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("besov-fit sg --sample 4000 --function x --seed 7", "besov_fit_sg_sample4000_x_seed7.out"),
         ("graph sg -m 3", "graph_sg_m3.out"),
         ("harmonic bench/hook.json -m 3", "harmonic_hook_m3.out"),
+        ("heat-fit sg -m 6", "heat_fit_sg_m6.out"),
+        ("besov-fit sg -m 7", "besov_fit_sg_m7.out"),
+        ("pushforward sg -m 6 --scale 1/2", "pushforward_sg_m6_scale1_2.out"),
     ],
 )
 def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
-    """Sampling and graph building reproduce the Fraction-by-Fraction
-    route's stdout byte for byte."""
+    """Sampling, graph building and the float estimators reproduce the
+    stdout of their earlier routes (Fraction by Fraction, k-d tree pair
+    queries, sparse lazy-walk steps) byte for byte."""
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     assert main(argv.split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()

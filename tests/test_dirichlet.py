@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import walkdim.dirichlet
 import walkdim.network
-from oracles import dense_laplacian, exit_time_float, solve_dense
+from oracles import dense_laplacian, exit_time_float, heat_diag_dense, solve_dense
 from walkdim.dirichlet import (
     GraphFunction,
     deep_interior_vertex,
@@ -355,6 +355,21 @@ class TestHeatKernel:
     def test_time_grid_validated(self, sg):
         with pytest.raises(ValueError):
             heat_kernel_diag(sg, 2, t_grid=[0, 5, 10])
+
+    @pytest.mark.parametrize(
+        "system, level", [("sg", m) for m in range(1, 5)] + [("hook", m) for m in range(1, 4)]
+    )
+    @pytest.mark.parametrize("laziness", [0.5, 0.3])
+    def test_matches_dense_oracle(self, request, monkeypatch, system, level, laziness):
+        # every time in the fit window, so that coarse levels fit too
+        monkeypatch.setattr(walkdim.dirichlet, "_T_MIN_FIT", 1)
+        monkeypatch.setattr(walkdim.dirichlet, "_PLATEAU_FACTOR", 0.0)
+        ifs = request.getfixturevalue(system)
+        times = (1, 2, 3, 10, 57, 200)
+        prof = heat_kernel_diag(ifs, level, laziness, t_grid=times)
+        g = build_level_graph(ifs, level)
+        dense = heat_diag_dense(g, laziness, times, prof.base_vertex)
+        assert prof.diag_values == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 class TestDefaultTimeGrid:

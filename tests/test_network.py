@@ -10,6 +10,7 @@ from oracles import (
     dense_laplacian,
     effective_resistance,
     effective_resistance_dense,
+    min_degree_order,
     schur_reduce_dense,
     solve_dense,
 )
@@ -19,6 +20,8 @@ from walkdim.levelgraph import build_level_graph
 from walkdim.logratio import LogRatio
 from walkdim.network import (
     ConductanceNetwork,
+    _eliminate,
+    _matrix,
     dimension_report_from_constants,
     _refine,
     reduce_boundary,
@@ -87,6 +90,18 @@ class TestReduction:
         net = unit_complete_network(3)
         red = reduce_boundary(net)
         assert red.conductances == net.conductances
+
+    @pytest.mark.parametrize("system, level", [("sg", 4), ("sg", 5), ("hook", 3)])
+    def test_pivot_order_is_min_degree(self, request, system, level):
+        # a level graph, every vertex but V0 eliminated, each loaded by
+        # its index mod 3 (zero loads leave the ground column out)
+        g = build_level_graph(request.getfixturevalue(system), level)
+        edges = {e: F(1) for e in g.edges}
+        load = {v: F(v % 3) for v in range(g.vertex_count)}
+        free = set(range(g.vertex_count)) - set(g.boundary_indices())
+        expected = min_degree_order(_matrix(g.vertex_count, edges, load), free)
+        order = _eliminate(_matrix(g.vertex_count, edges, load), free)
+        assert [v for v, _, _ in order] == expected
 
 
 def random_connected_network(draw):
