@@ -91,10 +91,7 @@ class TestPairsByRadius:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_clouds(self, n):
         pts = np.array([[0.0, 0.0], [0.25, 0.0]])[:n].reshape(n, 2)
-        scans = list(_pairs_by_radius(pts, [0.5, 0.25, 0.125]))
-        assert len(scans) == 3
         self.assert_brute(pts, [0.5, 0.25, 0.125])
-        assert [len(i) for i, _ in scans] == [int(n == 2), 0, 0]
 
     def test_duplicate_points(self, monkeypatch):
         monkeypatch.setattr(besov, "PAIR_BLOCK", 5)
