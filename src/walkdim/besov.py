@@ -4,11 +4,11 @@ The scan computes, per radius r, the weighted mean-square oscillation
 over open balls B(x,r) normalized by empirical ball volumes, which is
 the discrete counterpart of the sup-over-r functional whose critical
 exponent recovers the walk dimension.  Point clouds come from level
-graphs (exact weights) or measure samples (uniform weights).  A scan
-enumerates its point pairs once, in blocks of rows of squared distances
-kept below its largest radius, and keeps each radius's open-ball pairs
-by a mask on those squared distances; the pushforward audit makes one
-such scan per cloud.
+graphs (exact weights) or measure samples (uniform weights).  One
+kernel, _ball_sums, computes every squared distance once, in blocks of
+rows, and adds each block into per-point sums for each radius's open
+balls, nested from the largest ball inward; no pair outlives its block.
+The pushforward audit makes one such scan per cloud.
 
 The float open-ball test d^2 < r^2 is exact when no lattice distance
 lies within rounding of r: always for dyadic coordinates and radii, and
@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
@@ -98,83 +97,85 @@ def _radius_grid(r_grid: Optional[Sequence[float]]) -> tuple:
     return radii
 
 
-# Candidate pairs per block of the pair scan (512 KB of float64 d^2).
+# Candidate pairs per block of the ball-sum scan (512 KB of float64 d^2).
 PAIR_BLOCK = 2 ** 16
 
 
-def _pairs_by_radius(
-    points: np.ndarray, radii: Sequence[float]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per radius, in the given order: the int32 index pairs (i, j),
-    i < j, with d(x_i, x_j) < r strictly (open balls), sorted by (i, j).
+def _ball_sums(
+    points: np.ndarray,
+    w: np.ndarray,
+    radii: Sequence[float],
+    vals: Optional[np.ndarray] = None,
+) -> list[tuple[np.ndarray, float, int, float]]:
+    """Per radius, in the given order: (volumes, raw, pairs, integral)
+    over the open balls B(x, r), d(x, y) < r strictly, of every point x.
 
-    The squared distances are computed for blocks of consecutive rows i
-    against every column j > i, about PAIR_BLOCK candidates a block, and
-    the pairs below the largest radius are kept in row-major order, so
-    the list comes out sorted by (i, j); a masked subset of a sorted list
-    stays sorted, so every radius sees its pairs in that order.  Every
-    scan costs n(n-1)/2 distances whatever its radii.  At the default
-    window that is no loss, since about half of all pairs lie within
-    r = 1/2; but a narrow scan pays it too: 20000 sample points at
-    r = 1/64 take about 1.2 s, against 0.03 s for a k-d tree query and
-    sort (2-core x86-64, CPython 3.11).  This is the only place that
-    allocates pairs, so it checks the pair-scan limit before the first
-    block.
+    volumes are w_x plus w_y over the ball (never 0); osc_x is the ball's
+    sum of w_y*(u(x)-u(y))^2; raw sums w_x*osc_x/volume_x and integral
+    sums w_x*osc_x (both 0 when vals is None); pairs counts i < j in a
+    ball.
+
+    Squared distances are computed for blocks of consecutive rows i
+    against every column j > i, about PAIR_BLOCK candidates a block;
+    every distance is computed whatever the radii, so 20000 sample points
+    at r = 1/64 take about 0.8 s, against 0.03 s for a k-d tree query
+    (2-core x86-64, CPython 3.11).  Each ball, largest first, keeps the
+    entries of the next larger one with d^2 < r^2, in block order, and
+    np.bincount adds them to its per-point sums in both directions; no
+    entry outlives its block.  A ball's sums thus come out the same
+    whatever other radii the scan has and, bincount being sequential, on
+    any BLAS.  The pair-scan limit is checked before the first block.
     """
     import numpy as np
 
     n = len(points)
     _check_pair_budget(n)
+    r2 = np.square(np.asarray(radii, dtype=float))
+    balls = np.unique(r2)  # the distinct r^2, increasing
+    k = len(balls)
     x, y = np.ascontiguousarray(points.T)
-    bound = max(radii) * max(radii)
-    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
+    volume = np.zeros((k, n))
+    osc = np.zeros((k, n))
+    pairs = np.zeros(k, dtype=np.int64)
     start = 0
     while start < n - 1:
-        stop = min(n - 1, start + max(1, PAIR_BLOCK // (n - 1 - start)))
+        cols = n - 1 - start
+        rows = min(cols, max(1, PAIR_BLOCK // cols))
         # entry (a, b) is the pair (start + a, start + 1 + b), so i < j iff a <= b
-        d2 = x[start:stop, None] - x[start + 1 :]
+        d2 = x[start : start + rows, None] - x[start + 1 :]
         d2 *= d2
-        dy = y[start:stop, None] - y[start + 1 :]
+        dy = y[start : start + rows, None] - y[start + 1 :]
         d2 += dy * dy
-        keep = d2 < bound
-        keep[:, : stop - start] = np.triu(keep[:, : stop - start])
-        a, b = np.nonzero(keep)
-        blocks.append((a.astype(np.int32) + start, b.astype(np.int32) + (start + 1), d2[keep]))
-        start = stop
-    i, j, d2 = map(np.concatenate, zip(*blocks))
-    del blocks  # this frame lives until the last radius is yielded
-    for r in radii:
-        keep = d2 < r * r
-        yield i[keep], j[keep]
-
-
-def _ball_sums(
-    w: np.ndarray,
-    scan: Iterable[tuple[np.ndarray, np.ndarray]],
-    vals: Optional[np.ndarray] = None,
-) -> Iterator[tuple[np.ndarray, float, int]]:
-    """Per radius of a _pairs_by_radius scan: sums over the open balls
-    B(x, r) of every point x.
-
-    Yields the ball volumes (w_x plus w_y over the ball: x always counts,
-    so volumes never vanish), the raw oscillation (the w_x-weighted sum
-    over x of the ball's w_y*(u(x)-u(y))^2 divided by its volume; 0 when
-    vals is None), and the number of pairs x != y in a ball.
-    """
-    import numpy as np
-
-    for i, j in scan:
-        volume = w.copy()
-        np.add.at(volume, i, w[j])
-        np.add.at(volume, j, w[i])
-        raw = 0.0
+        keep = d2 < balls[-1]
+        keep[:, :rows] = np.triu(keep[:, :rows])
+        flat = np.flatnonzero(keep)
+        d2 = d2.ravel().take(flat)
+        a = flat // cols
+        b = flat - a * cols
         if vals is not None:
-            osc = np.zeros(len(w))
-            diff2 = (vals[i] - vals[j]) ** 2
-            np.add.at(osc, i, w[j] * diff2)
-            np.add.at(osc, j, w[i] * diff2)
-            raw = float(np.sum(w * osc / volume))
-        yield volume, raw, len(i)
+            diff2 = vals[start : start + rows].take(a) - vals[start + 1 :].take(b)
+            diff2 *= diff2
+        w_a, w_b = w[start : start + rows], w[start + 1 :]
+        for t in range(k - 1, -1, -1):
+            if t < k - 1:
+                inner = np.flatnonzero(d2 < balls[t])
+                a, b, d2 = a.take(inner), b.take(inner), d2.take(inner)
+                if vals is not None:
+                    diff2 = diff2.take(inner)
+            pairs[t] += len(a)
+            wa, wb = w_a.take(a), w_b.take(b)
+            volume[t, start : start + rows] += np.bincount(a, wb, rows)
+            volume[t, start + 1 :] += np.bincount(b, wa, cols)
+            if vals is not None:
+                osc[t, start : start + rows] += np.bincount(a, wb * diff2, rows)
+                osc[t, start + 1 :] += np.bincount(b, wa * diff2, cols)
+        start += rows
+    sums = []
+    for t in np.searchsorted(balls, r2):
+        ball = w + volume[t]
+        w_osc = w * osc[t]
+        sums.append((ball, float(np.sum(w_osc / ball)), int(pairs[t]), float(np.sum(w_osc))))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,7 @@ def besov_functional(
     vals = _function_values(source, u)
     radii = _radius_grid(r_grid)
     rows: list[BesovRow] = []
-    sums = _ball_sums(w, _pairs_by_radius(pts, radii), vals)
-    for r, (volume, raw, pairs) in zip(radii, sums):
+    for r, (volume, raw, pairs, _) in zip(radii, _ball_sums(pts, w, radii, vals)):
         scaled = r ** (-2.0 * sigma) * raw
         rows.append(
             BesovRow(float(r), raw, scaled, float(volume.min()), float(volume.max()), pairs)
@@ -392,9 +392,7 @@ def alfors_check(
         )
     else:
         center_w = w
-        volumes_by_radius = (
-            volume for volume, _, _ in _ball_sums(w, _pairs_by_radius(pts, radii))
-        )
+        volumes_by_radius = (volume for volume, _, _, _ in _ball_sums(pts, w, radii))
     rows: list[AlforsRow] = []
     for r, volumes in zip(radii, volumes_by_radius):
         ratios = volumes / (r ** alpha)
@@ -496,8 +494,8 @@ def pushforward_check(
     (ii) the pair-oscillation inequality image(r) <= C' * source(C*r)
     with C the bi-Lipschitz constant and C' = C^(2 alpha), at every grid
     radius, and (iii) agreement of the critical-exponent fits computed
-    independently on source and image clouds.  Each cloud's pairs are
-    enumerated once, for all of its radii.  u must live on a level graph
+    independently on source and image clouds.  Each cloud is scanned
+    once, for all of its radii.  u must live on a level graph
     of `ifs`; ValueError otherwise.  r_grid has besov_functional's
     exactness limit.
     """
@@ -520,15 +518,12 @@ def pushforward_check(
 
     # one scan per cloud: the source over radii + C*radii (its fit, then
     # the right-hand sides), the image over radii + s*radii (the left-hand
-    # sides, then its fit); the source scan ends before the image one starts
+    # sides, then its fit)
     inflated = tuple(r * c_float for r in float_radii)
-    src_pairs = _pairs_by_radius(pts_src, radii + inflated)
+    src_sums = _ball_sums(pts_src, w, radii + inflated, vals)
     r_min, r_max = FIT_WINDOW
     source_fit = _fit(
-        float_radii,
-        (raw for _, raw, _ in _ball_sums(w, islice(src_pairs, k), vals)),
-        FIT_WINDOW,
-        "raise the level (-m)",
+        float_radii, (raw for _, raw, _, _ in src_sums[:k]), FIT_WINDOW, "raise the level (-m)"
     )
 
     # (i) alpha-dimensional mass transport: image carries s^alpha times
@@ -550,19 +545,16 @@ def pushforward_check(
         [[float(x), float(y)] for x, y in map(transform.apply, graph.vertices)]
     )
     img_radii = [r * s for r in float_radii]
-    img_pairs = _pairs_by_radius(pts_img, tuple(float_radii + img_radii))
+    img_sums = _ball_sums(pts_img, w, tuple(float_radii + img_radii), vals)
 
     # (ii) each side: the double integral of (u(x)-u(y))^2 over open-ball
-    # pairs, each pair counted in both orientations
-    sides = [
-        float(2.0 * np.sum(wt[i] * wt[j] * (vals[i] - vals[j]) ** 2))
-        for wt, scan in ((w, src_pairs), (w_img, islice(img_pairs, k)))
-        for i, j in scan
-    ]
+    # pairs, the image's under weights w_img = mass_factor * w
+    lhs_sides = [mass_factor ** 2 * integral for _, _, _, integral in img_sums[:k]]
+    rhs_sides = [integral for _, _, _, integral in src_sums[k:]]
     cprime_bound = c_float ** (2.0 * alpha)
     rows: list[PushforwardRow] = []
     observed_ratio = 0.0
-    for r, lhs, rhs in zip(float_radii, sides[k:], sides[:k]):
+    for r, lhs, rhs in zip(float_radii, lhs_sides, rhs_sides):
         bound = cprime_bound * rhs
         ok = lhs <= bound * (1 + 1e-12)
         if rhs > 0 and lhs > 0:
@@ -573,7 +565,7 @@ def pushforward_check(
     # both fits use the same grid radii on any grid
     image_fit = _fit(
         img_radii,
-        (raw for _, raw, _ in _ball_sums(w, img_pairs, vals)),
+        (raw for _, raw, _, _ in img_sums[k:]),
         (r_min * s, r_max * s),
         "raise the level (-m)",
     )

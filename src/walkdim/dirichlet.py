@@ -61,10 +61,11 @@ def solve_weighted_laplacian(
     return _back_substitute(order, values)[:vertex_count]  # type: ignore[return-value]
 
 
-def _unit_levels(ifs: IfsSpec, m: int) -> list[tuple]:
-    """(trace on V0, load left on V0, V0 -> V1 interpolation matrix) of
-    the unit level-j problem, j = 0..m, each corner of the unit complete
-    level-0 network loaded by its degree.
+def _unit_levels(ifs: IfsSpec, m: int, interpolate: bool = False) -> list[tuple]:
+    """(trace on V0, load left on V0, V0 -> V1 interpolation matrix or
+    None without `interpolate`) of the unit level-j problem, j = 0..m,
+    each corner of the unit complete level-0 network loaded by its
+    degree.
 
     The level-j graph is one copy of the level-(j-1) graph per map, glued
     at cell corners (cells meet only there), so one refinement step takes
@@ -73,7 +74,7 @@ def _unit_levels(ifs: IfsSpec, m: int) -> list[tuple]:
     levels = [(unit_complete_network(k), (Fraction(k - 1),) * k, None)]
     for _ in range(m):
         trace, load, _ = levels[-1]
-        levels.append(_refine(ifs, trace, load))
+        levels.append(_refine(ifs, trace, load, interpolate))
     return levels
 
 
@@ -111,7 +112,7 @@ def harmonic_extension(
     # of cell c is cell c*n + d, the order build_level_graph emits
     cells1 = build_level_graph(ifs, 1).cells
     corners: list[list[Value]] = [vals]
-    for _, _, h in reversed(_unit_levels(ifs, m)[1:]):
+    for _, _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
         children: list[list[Value]] = []
         for cell in corners:
             local = [

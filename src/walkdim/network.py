@@ -178,16 +178,20 @@ def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
 
 
 def _refine(
-    ifs: IfsSpec, cell_net: ConductanceNetwork, cell_load: tuple[Conductance, ...]
-) -> tuple[ConductanceNetwork, tuple[Conductance, ...], tuple[tuple, ...]]:
+    ifs: IfsSpec,
+    cell_net: ConductanceNetwork,
+    cell_load: tuple[Conductance, ...],
+    interpolate: bool = False,
+) -> tuple[ConductanceNetwork, tuple[Conductance, ...], Optional[tuple[tuple, ...]]]:
     """One refinement step of a cell problem: one copy of `cell_net` per
     map, each carrying `cell_load` on its corners, glued at identified
     level-1 points (parallel edges and loads add), with the level-1
     interior eliminated once.
 
-    Returns the trace on V0, the load left on V0, and the V0 -> V1
-    harmonic interpolation matrix (one row of k corner weights per
-    level-1 vertex), read by a back-substitution with ground value 0."""
+    Returns the trace on V0, the load left on V0, and, with
+    `interpolate`, the V0 -> V1 harmonic interpolation matrix (one row
+    of k corner weights per level-1 vertex), read by k back-substitutions
+    with ground value 0; None without it."""
     g1 = build_level_graph(ifs, 1)
     n = g1.vertex_count
     edges: dict[Edge, Conductance] = {}
@@ -201,13 +205,15 @@ def _refine(
     rows = _matrix(n, edges, load)
     boundary = g1.boundary_indices()
     order = _eliminate(rows, set(range(n)) - set(boundary))
+    left = tuple(-rows[a].get(n, 0) for a in boundary)
+    if not interpolate:
+        return _boundary_trace(rows, boundary), left, None
     cols = []
     for b in boundary:
         col: list = [None] * n + [0]
         for a in boundary:
             col[a] = Fraction(a == b)
         cols.append(_back_substitute(order, col)[:n])
-    left = tuple(-rows[a].get(n, 0) for a in boundary)
     return _boundary_trace(rows, boundary), left, tuple(zip(*cols))
 
 

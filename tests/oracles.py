@@ -359,3 +359,55 @@ def besov_raw_brute(pts: np.ndarray, w: np.ndarray, vals: np.ndarray, r: float) 
                 inner += float(w[j]) * float(vals[i] - vals[j]) ** 2
         total += float(w[i]) * inner / float(vols[i])
     return total
+
+
+# The blocked pair-list scan that the streaming ball-sum kernel replaced,
+# kept as its reference: it holds every pair below the largest radius,
+# masks them per radius and scatters them with np.add.at.
+PAIR_BLOCK = 2 ** 16
+
+
+def pairs_by_radius(points: np.ndarray, radii):
+    """Per radius, in the given order: the int32 index pairs (i, j),
+    i < j, with d(x_i, x_j) < r strictly, sorted by (i, j)."""
+    n = len(points)
+    x, y = np.ascontiguousarray(points.T)
+    bound = max(radii) * max(radii)
+    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
+    start = 0
+    while start < n - 1:
+        stop = min(n - 1, start + max(1, PAIR_BLOCK // (n - 1 - start)))
+        # entry (a, b) is the pair (start + a, start + 1 + b), so i < j iff a <= b
+        d2 = x[start:stop, None] - x[start + 1 :]
+        d2 *= d2
+        dy = y[start:stop, None] - y[start + 1 :]
+        d2 += dy * dy
+        keep = d2 < bound
+        keep[:, : stop - start] = np.triu(keep[:, : stop - start])
+        a, b = np.nonzero(keep)
+        blocks.append((a.astype(np.int32) + start, b.astype(np.int32) + (start + 1), d2[keep]))
+        start = stop
+    i, j, d2 = map(np.concatenate, zip(*blocks))
+    for r in radii:
+        keep = d2 < r * r
+        yield i[keep], j[keep]
+
+
+def ball_sums_by_pairs(points: np.ndarray, w: np.ndarray, radii, vals=None):
+    """besov._ball_sums from pair lists: per radius, (volumes, raw, pair
+    count, double integral sum_x w_x osc_x)."""
+    out = []
+    for i, j in pairs_by_radius(points, radii):
+        volume = w.copy()
+        np.add.at(volume, i, w[j])
+        np.add.at(volume, j, w[i])
+        raw = integral = 0.0
+        if vals is not None:
+            osc = np.zeros(len(w))
+            diff2 = (vals[i] - vals[j]) ** 2
+            np.add.at(osc, i, w[j] * diff2)
+            np.add.at(osc, j, w[i] * diff2)
+            raw = float(np.sum(w * osc / volume))
+            integral = float(np.sum(w * osc))
+        out.append((volume, raw, len(i), integral))
+    return out

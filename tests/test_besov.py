@@ -4,18 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
+    ball_sums_by_pairs,
     ball_volumes_brute,
     besov_raw_brute,
     open_ball_counts_exact,
     open_ball_pairs_brute,
     oscillation_brute,
+    pairs_by_radius,
 )
 from walkdim import besov
 from walkdim.besov import (
     DRIFT_THRESHOLD,
     LipschitzMap,
-    _pairs_by_radius,
+    _ball_sums,
+    _cloud,
     alfors_check,
     besov_functional,
     critical_exponent_fit,
@@ -53,6 +57,9 @@ class TestDyadicGrid:
 
 
 class TestPairsByRadius:
+    """The pair-list scan of tests/oracles.py, the reference that
+    TestBallSums holds the streaming kernel to."""
+
     @pytest.mark.parametrize(
         "system, level, radii",
         [
@@ -65,14 +72,76 @@ class TestPairsByRadius:
         ],
     )
     def test_matches_brute_open_balls(self, request, system, level, radii):
-        g = build_level_graph(request.getfixturevalue(system), level)
-        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
-        self.assert_brute(pts, radii)
+        self.assert_brute(graph_points(request.getfixturevalue(system), level), radii)
 
     @staticmethod
     def assert_brute(pts, radii):
-        for r, (i, j) in zip(radii, _pairs_by_radius(pts, radii), strict=True):
+        for r, (i, j) in zip(radii, pairs_by_radius(pts, radii), strict=True):
             assert list(zip(i.tolist(), j.tolist())) == open_ball_pairs_brute(pts, r)
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    @pytest.mark.parametrize(
+        "system, level, radii",
+        [("sg", 3, [0.5, 0.125, 0.3]), ("hook", 2, [0.2, 1 / 9, 0.5, 0.2, 1 / 3, 0.05, 0.5])],
+    )
+    def test_block_boundaries(self, request, monkeypatch, system, level, radii, block):
+        monkeypatch.setattr(oracles, "PAIR_BLOCK", block)
+        self.assert_brute(graph_points(request.getfixturevalue(system), level), radii)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_clouds(self, n):
+        self.assert_brute(TINY[:n].reshape(n, 2), [0.5, 0.25, 0.125])
+
+    def test_duplicate_points(self, monkeypatch):
+        monkeypatch.setattr(oracles, "PAIR_BLOCK", 5)
+        self.assert_brute(DUPLICATES, [0.5, 0.125, 0.001])
+        i, j = next(pairs_by_radius(DUPLICATES, [0.001]))
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (0, 3), (2, 3)]
+
+    def test_radius_above_diameter(self, sg):
+        pts = graph_points(sg, 2)
+        n = len(pts)
+        (i, _), _ = pairs_by_radius(pts, [1.5, 0.5])  # the diameter is sqrt(2)
+        assert len(i) == n * (n - 1) // 2
+        self.assert_brute(pts, [1.5, 0.5])
+
+
+def graph_points(ifs, level):
+    g = build_level_graph(ifs, level)
+    return np.array([[float(x), float(y)] for x, y in g.vertices])
+
+
+TINY = np.array([[0.0, 0.0], [0.25, 0.0]])
+DUPLICATES = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.25, 0.5]])
+
+
+class TestBallSums:
+    @staticmethod
+    def assert_brute(pts, radii):
+        # random weights and values, so that every sum is checked
+        rng = np.random.default_rng(len(pts))
+        w = rng.uniform(0.5, 1.5, len(pts))
+        vals = rng.uniform(-1.0, 1.0, len(pts))
+        sums = _ball_sums(pts, w, radii, vals)
+        assert len(sums) == len(radii)
+        for r, (volume, raw, pairs, integral) in zip(radii, sums):
+            assert pairs == len(open_ball_pairs_brute(pts, r))
+            np.testing.assert_allclose(volume, ball_volumes_brute(pts, w, r), rtol=1e-12)
+            assert raw == pytest.approx(besov_raw_brute(pts, w, vals, r), rel=1e-12)
+            assert integral == pytest.approx(oscillation_brute(pts, w, vals, r), rel=1e-12)
+        for volume, raw, pairs, integral in _ball_sums(pts, w, radii):
+            assert (raw, integral) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "system, level, radii",
+        [
+            ("sg", 3, [0.3, 0.125, 0.5, 0.3, 0.0625]),
+            ("hook", 2, [1 / 3, 0.5, 1 / 9, 0.2, 1 / 3]),
+            ("segment", 2, [0.5, 0.25]),
+        ],
+    )
+    def test_matches_brute_open_balls(self, request, system, level, radii):
+        self.assert_brute(graph_points(request.getfixturevalue(system), level), radii)
 
     @pytest.mark.parametrize("block", [1, 7, 50])
     @pytest.mark.parametrize(
@@ -84,29 +153,59 @@ class TestPairsByRadius:
         # long, several rows (the triangle below the diagonal masked) once
         # they are short, and the last block is cut at row n - 2
         monkeypatch.setattr(besov, "PAIR_BLOCK", block)
-        g = build_level_graph(request.getfixturevalue(system), level)
-        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
-        self.assert_brute(pts, radii)
+        self.assert_brute(graph_points(request.getfixturevalue(system), level), radii)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_clouds(self, n):
-        pts = np.array([[0.0, 0.0], [0.25, 0.0]])[:n].reshape(n, 2)
-        self.assert_brute(pts, [0.5, 0.25, 0.125])
+        self.assert_brute(TINY[:n].reshape(n, 2), [0.5, 0.25, 0.125])
 
     def test_duplicate_points(self, monkeypatch):
         monkeypatch.setattr(besov, "PAIR_BLOCK", 5)
-        pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.25, 0.5]])
-        self.assert_brute(pts, [0.5, 0.125, 0.001])
-        i, j = next(_pairs_by_radius(pts, [0.001]))
-        assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (0, 3), (2, 3)]
+        self.assert_brute(DUPLICATES, [0.5, 0.125, 0.001])
+        assert _ball_sums(DUPLICATES, np.ones(5), [0.001])[0][2] == 3
 
     def test_radius_above_diameter(self, sg):
-        g = build_level_graph(sg, 2)
-        pts = np.array([[float(x), float(y)] for x, y in g.vertices])
+        pts = graph_points(sg, 2)
         n = len(pts)
-        (i, _), _ = _pairs_by_radius(pts, [1.5, 0.5])  # the diameter is sqrt(2)
-        assert len(i) == n * (n - 1) // 2
+        assert _ball_sums(pts, np.ones(n), [1.5, 0.5])[0][2] == n * (n - 1) // 2
         self.assert_brute(pts, [1.5, 0.5])
+
+    @pytest.fixture(scope="class")
+    def clouds(self, sg, hook):
+        return {
+            "sg sample": sample_measure(sg, 10, 2000, seed=3),
+            "hook sample": sample_measure(hook, 8, 2000, seed=3),
+            "sg m=6": harmonic_on(sg, 6),
+            "sg m=7": harmonic_on(sg, 7),
+            "hook m=4": harmonic_on(hook, 4),
+        }
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            (0.3, 0.125, 0.5, 0.3, 0.0625, 1 / 3, 1 / 9, 1.5),
+            dyadic_grid() + tuple(2 * r for r in dyadic_grid()),
+        ],
+        ids=["mixed", "dyadic"],
+    )
+    @pytest.mark.parametrize("cloud", ["sg sample", "hook sample", "sg m=6", "sg m=7", "hook m=4"])
+    def test_matches_pair_list_reference(self, clouds, cloud, radii):
+        source = clouds[cloud]
+        if isinstance(source, GraphFunction):
+            pts, w = _cloud(source.graph)
+            vals = source.float_values()
+        else:
+            pts, w = _cloud(source)
+            vals = pts[:, 0].copy()
+        new = _ball_sums(pts, w, radii, vals)
+        ref = ball_sums_by_pairs(pts, w, radii, vals)
+        for (volume, raw, pairs, integral), (volume0, raw0, pairs0, integral0) in zip(
+            new, ref, strict=True
+        ):
+            assert pairs == pairs0
+            np.testing.assert_allclose(volume, volume0, rtol=1e-12, atol=0)
+            assert raw == pytest.approx(raw0, rel=1e-12, abs=0)
+            assert integral == pytest.approx(integral0, rel=1e-12, abs=0)
 
 
 class TestBesovFunctional:
@@ -487,13 +586,13 @@ class TestPushforward:
 
     def test_one_pair_scan_per_cloud(self, sg, monkeypatch):
         clouds = []
-        scan = besov._pairs_by_radius
+        scan = besov._ball_sums
 
-        def counting(points, radii):
+        def counting(points, *args):
             clouds.append(len(points))
-            return scan(points, radii)
+            return scan(points, *args)
 
-        monkeypatch.setattr(besov, "_pairs_by_radius", counting)
+        monkeypatch.setattr(besov, "_ball_sums", counting)
         pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, harmonic_on(sg, 5))
         assert clouds == [366, 366]
 
@@ -505,8 +604,8 @@ class TestPushforward:
         def no_blocks(*args, **kwargs):
             raise AssertionError("a pair block was computed before the budget check")
 
-        # each pair block picks its pairs with np.nonzero
-        monkeypatch.setattr(np, "nonzero", no_blocks)
+        # each block picks its entries below the largest radius with np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", no_blocks)
         with pytest.raises(BudgetExceeded):
             pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, u)
         with pytest.raises(BudgetExceeded):

@@ -218,7 +218,8 @@ class TestRefine:
             tuple(range(k)),
         )
         cell_load = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k))
-        trace, left, interp = _refine(ifs, cell_net, cell_load)
+        trace, left, interp = _refine(ifs, cell_net, cell_load, interpolate=True)
+        assert _refine(ifs, cell_net, cell_load) == (trace, left, None)
 
         g1, edges, load = glue(ifs, cell_net, cell_load)
         bidx = g1.boundary_indices()
