@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
 from .ifs import IfsSpec, MeasureSample, hausdorff_dim
-from .levelgraph import LevelGraph, vertex_measure_weights
+from .levelgraph import LevelGraph, _float_measure_weights
 from .rational import as_fraction, format_rational
 
 if TYPE_CHECKING:
@@ -53,8 +53,8 @@ def _cloud(source: PointSource) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     if isinstance(source, LevelGraph):
-        pts = np.array([[float(x), float(y)] for x, y in source.vertices])
-        w = np.array([float(v) for v in vertex_measure_weights(source)])
+        pts = source.float_points()
+        w = np.array(_float_measure_weights(source))
     elif isinstance(source, MeasureSample):
         pts = source.float_points()
         w = np.full(len(source.points), 1.0 / len(source.points))
@@ -75,13 +75,15 @@ def _function_values(source: PointSource, u) -> np.ndarray:
 
     if isinstance(u, GraphFunction):
         defined_here = isinstance(source, LevelGraph) and (
-            u.graph is source or u.graph.vertices == source.vertices
+            u.graph is source
+            or (u.graph.numerators, u.graph.denominator)
+            == (source.numerators, source.denominator)
         )
         if not defined_here:
             raise ValueError("function is not defined on this point source")
         return u.float_values()
     arr = np.asarray([float(v) for v in u], dtype=float)
-    n = len(source.vertices) if isinstance(source, LevelGraph) else len(source.points)
+    n = source.vertex_count if isinstance(source, LevelGraph) else len(source.points)
     if arr.shape != (n,):
         raise ValueError(f"need one value per point ({n}), got shape {arr.shape}")
     return arr
@@ -541,9 +543,7 @@ def pushforward_check(
             "bound": c_float ** (alpha / p),
             "ok": observed <= c_float ** (alpha / p) * (1 + 1e-12),
         }
-    pts_img = np.array(
-        [[float(x), float(y)] for x, y in map(transform.apply, graph.vertices)]
-    )
+    pts_img = graph.float_points(transform.scale, transform.translation)
     img_radii = [r * s for r in float_radii]
     img_sums = _ball_sums(pts_img, w, tuple(float_radii + img_radii), vals)
 

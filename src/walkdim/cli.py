@@ -122,7 +122,7 @@ def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]
     if name in ("x", "y"):
         axis = 0 if name == "x" else 1
         graph = build_level_graph(ifs, level)
-        return graph, [float(v[axis]) for v in graph.vertices]
+        return graph, graph.float_points()[:, axis]
     raise _ParseFailure(f"unknown function {name!r} (harmonic, x, y)")
 
 

@@ -2,8 +2,9 @@
 
 Harmonic extension and exit times are exact rational linear algebra on
 the unweighted level-m graph, solved as m one-level refinement steps of
-the cell problem; the heat-kernel diagonal is a float
-power-iteration of the lazy walk.
+the cell problem; harmonic extension then interpolates cell by cell on
+integer numerators over one denominator per depth.  The heat-kernel
+diagonal is a float power-iteration of the lazy walk.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import FitError
 from .ifs import IfsSpec, ensure_valid
-from .levelgraph import LevelGraph, _check_level, build_level_graph, vertex_measure_weights
+from .levelgraph import LevelGraph, _check_level, _float_measure_weights, build_level_graph
 from .network import _back_substitute, _eliminate, _matrix, _refine, unit_complete_network
 from .rational import as_fraction, format_rational
 
@@ -91,6 +93,13 @@ def harmonic_extension(
     depth d by the harmonic interpolation matrix of the level-(m-d) unit
     problem (Kigami's harmonic extension matrices); "direct" solves the
     level-m graph by sparse elimination, the reference route.
+
+    The recursive route runs on integers: every value at one depth is a
+    numerator over one denominator, each matrix is scaled to integers by
+    the common denominator of its entries, and each vertex becomes
+    Fraction(numerator, denominator) at the end.  Float boundary values
+    enter as their exact Fractions and every value comes back as the
+    correctly rounded float of the exact extension.
     """
     ensure_valid(ifs)
     k = len(ifs.boundary)
@@ -98,37 +107,41 @@ def harmonic_extension(
         raise ValueError(f"need {k} boundary values")
     if method not in ("auto", "recursive", "direct"):
         raise ValueError("method must be auto, recursive, or direct")
-    vals = [as_fraction(v) if not isinstance(v, float) else v for v in boundary_values]
     graph = build_level_graph(ifs, m)
 
     if method == "direct":
+        vals = [as_fraction(v) if not isinstance(v, float) else v for v in boundary_values]
         bidx = graph.boundary_indices()
         fixed = {bidx[a]: vals[a] for a in range(k)}
         edges = {e: Fraction(1) for e in graph.edges}
         solution = solve_weighted_laplacian(graph.vertex_count, edges, {}, fixed)
         return GraphFunction(graph, tuple(solution))
 
-    # corner values per cell, one level at a time; with n maps, child d
-    # of cell c is cell c*n + d, the order build_level_graph emits
+    exact = [Fraction(v) if isinstance(v, float) else as_fraction(v) for v in boundary_values]
+    den = math.lcm(*(v.denominator for v in exact))
+    # corner numerators per cell, one depth at a time; with n maps, child
+    # d of cell c is cell c*n + d, the order build_level_graph emits
     cells1 = build_level_graph(ifs, 1).cells
-    corners: list[list[Value]] = [vals]
+    corners = [[v.numerator * (den // v.denominator) for v in exact]]
     for _, _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
-        children: list[list[Value]] = []
+        scale = math.lcm(*(x.denominator for row in h for x in row))
+        rows = [[x.numerator * (scale // x.denominator) for x in row] for row in h]
+        den *= scale
+        children: list[list[int]] = []
         for cell in corners:
-            local = [
-                sum((row[b] * cell[b] for b in range(k)), start=Fraction(0))
-                for row in h
-            ]
+            local = [sum(map(mul, row, cell)) for row in rows]
             children.extend([local[v] for v in sub] for sub in cells1)
         corners = children
-    values: list[Optional[Value]] = [None] * graph.vertex_count
-    for cell, cell_values in zip(graph.cells, corners):
-        for v, x in zip(cell, cell_values):
-            if values[v] is None:
-                values[v] = x
-            elif values[v] != x:
+    nums: list[Optional[int]] = [None] * graph.vertex_count
+    for cell, cell_nums in zip(graph.cells, corners):
+        for v, a in zip(cell, cell_nums):
+            if nums[v] is None:
+                nums[v] = a
+            elif nums[v] != a:
                 raise AssertionError("inconsistent cell extension values")
-    return GraphFunction(graph, tuple(values))
+    if any(isinstance(v, float) for v in boundary_values):
+        return GraphFunction(graph, tuple(a / den for a in nums))
+    return GraphFunction(graph, tuple(Fraction(a, den) for a in nums))
 
 
 def graph_energy(u: GraphFunction, energy_scale: Value) -> Value:
@@ -314,7 +327,7 @@ def heat_kernel_diag(
     cols[slot, dst] = src
     weights[slot, dst] = np.where(src == dst, laziness, move[src])
 
-    measure = np.array([float(w) for w in vertex_measure_weights(g)])
+    measure = np.array(_float_measure_weights(g))
     pi = degrees / degrees.sum()
     plateau = float(pi[x] / measure[x])
 

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -317,25 +318,50 @@ def _lattice(ifs: IfsSpec):
     return ifs.ratio.numerator, ifs.ratio.denominator, d, scaled[:n], tuple(scaled[n:])
 
 
+# Mersenne words drawn per getrandbits call of _uniform_digits.
+DIGIT_BATCH = 2 ** 15
+
+
+def _uniform_digits(rng: random.Random, n: int, count: int) -> list[int]:
+    """The digits of count successive rng.randrange(n) calls, from
+    batches of 32-bit generator words.
+
+    randrange(n) draws getrandbits(k), k = n.bit_length(), until the
+    result is below n, and getrandbits(k <= 32) is the top k bits of one
+    32-bit word; getrandbits(32*K) returns K words, least significant
+    first.  So keeping, in order, each word's top k bits that are below
+    n gives the same digits; the unused words of the last batch only
+    advance rng."""
+    k = n.bit_length()
+    digits: list[int] = []
+    while len(digits) < count:
+        # a word gives a digit with probability n/2^k
+        words = min(DIGIT_BATCH, ((count - len(digits)) << k) // n + 1)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        digits.extend(d for w in struct.unpack(f"<{words}I", raw) if (d := w >> (32 - k)) < n)
+    del digits[count:]
+    return digits
+
+
 def sample_measure(
     ifs: IfsSpec, depth: int, count: int, seed: int = 42
 ) -> MeasureSample:
     """count i.i.d. points F_{w1} o ... o F_{w_depth}(x0), x0 = first
-    boundary vertex, digits uniform; deterministic in seed.  Composed on
-    integer numerators (_lattice), one Fraction per coordinate at the end."""
+    boundary vertex, digits uniform; deterministic in seed, the digits
+    those of successive random.Random(seed).randrange(N) calls.
+    Composed on integer numerators (_lattice), one Fraction per
+    coordinate at the end."""
     ensure_valid(ifs)
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be >= 1")
-    rng = random.Random(seed)
-    n = len(ifs.maps)
+    digits = _uniform_digits(random.Random(seed), len(ifs.maps), count * depth)
     p, q, d, T, B = _lattice(ifs)
     q_powers = [q ** (j + 1) for j in range(depth)]
     den = q_powers[-1] * d
     pts: list[Point] = []
-    for _ in range(count):
-        word = [rng.randrange(n) for _ in range(depth)]
+    for start in range(0, count * depth, depth):
         ax, ay = B[0]
-        for qj, digit in zip(q_powers, reversed(word)):
+        for qj, digit in zip(q_powers, reversed(digits[start : start + depth])):
             ax, ay = p * ax + qj * T[digit][0], p * ay + qj * T[digit][1]
         pts.append((Fraction(ax, den), Fraction(ay, den)))
     return MeasureSample(tuple(pts), depth, seed)

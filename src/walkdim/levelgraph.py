@@ -1,16 +1,17 @@
 """Level-m vertex/edge approximations of a gasket attractor.
 
-Vertices are exact rational points (identity = exact equality, so cell
-gluing never false-merges); the edge relation joins images of distinct
-boundary vertices under the same length-m word.  Vertex order is
-canonical (lexicographic), making graph builds reproducible.  Gluing
-and sorting run on integer numerators over the level's denominator
-q^m*d (ifs._lattice), which keep that order; each vertex becomes a
-Fraction once.
+Vertices are exact rational points, held as integer numerator pairs
+over the level's one denominator q^m*d (ifs._lattice); identity is
+exact equality, so cell gluing never false-merges.  The edge relation
+joins images of distinct boundary vertices under the same length-m
+word.  Vertex order is canonical (lexicographic, which sorted numerator
+pairs keep), making graph builds reproducible.  The Fraction points are
+built only when asked for; the float estimators divide the integers.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,28 +40,53 @@ def cell_budget() -> int:
 
 @dataclass(frozen=True)
 class LevelGraph:
+    """Vertex i is the point numerators[i] / denominator; `vertices`, the
+    same points as Fractions, is built on first use and kept.  Equality
+    compares the integers, which are equal exactly when the points are."""
+
     ifs: IfsSpec
     level: int
-    vertices: tuple[Point, ...]
+    numerators: tuple[tuple[int, int], ...]
+    denominator: int
     edges: tuple[tuple[int, int], ...]
     cells: tuple[tuple[int, ...], ...]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.numerators)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {v: i for i, v in enumerate(self.vertices)}
+    @functools.cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        den = self.denominator
+        return tuple((Fraction(ax, den), Fraction(ay, den)) for ax, ay in self.numerators)
+
+    def float_points(self, scale: Fraction = Fraction(1), shift: Point = (0, 0)):
+        """The points scale*v + shift of the vertices v as an (n, 2) float
+        array.  With scale = s_n/s_d, a coordinate a/D and a shift t_n/t_d,
+        each float is one int true division, (s_n*t_d*a + t_n*s_d*D) /
+        (s_d*D*t_d): correctly rounded, the same float as float(Fraction)."""
+        import numpy as np
+
+        big = scale.denominator * self.denominator
+        (mx, ox, dx), (my, oy, dy) = (
+            (scale.numerator * t.denominator, t.numerator * big, big * t.denominator)
+            for t in map(Fraction, shift)
         )
+        return np.array([((mx * ax + ox) / dx, (my * ay + oy) / dy) for ax, ay in self.numerators])
+
+    @functools.cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {a: i for i, a in enumerate(self.numerators)}
 
     def vertex_index(self, p: Point) -> int:
+        # p*denominator is an integer pair exactly when p lies on the
+        # lattice; an off-lattice Fraction equals no int key
         try:
-            return self._index[p]
+            return self._index[(p[0] * self.denominator, p[1] * self.denominator)]
         except KeyError:
             raise WalkdimError(
                 f"({format_rational(p[0])}, {format_rational(p[1])}) "
@@ -71,7 +97,7 @@ class LevelGraph:
         return tuple(self.vertex_index(p) for p in self.ifs.boundary)
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.vertices]
+        adj: list[list[int]] = [[] for _ in self.numerators]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
@@ -96,23 +122,22 @@ def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     _check_level(ifs, m)
 
     p, q, d, T, B = _lattice(ifs)
-    cells_pts = [B]
+    # the corner numerators of every cell, cell after cell, one list per axis
+    xs, ys = ([c[axis] for c in B] for axis in (0, 1))
     for j in range(m):
         qj = q ** (j + 1)
-        cells_pts = [
-            tuple((p * ax + qj * tx, p * ay + qj * ty) for ax, ay in cell)
-            for tx, ty in T
-            for cell in cells_pts
-        ]
+        xs = [p * a + qj * tx for tx, _ in T for a in xs]
+        ys = [p * a + qj * ty for _, ty in T for a in ys]
 
-    ordered = sorted({pt for cell in cells_pts for pt in cell})
+    corners = list(zip(xs, ys))
+    ordered = tuple(sorted(set(corners)))
     index = {pt: i for i, pt in enumerate(ordered)}
-    den = q ** m * d
-    vertices = tuple((Fraction(ax, den), Fraction(ay, den)) for ax, ay in ordered)
-
-    cells = tuple(tuple(index[pt] for pt in cell) for cell in cells_pts)
-    edges = tuple(sorted({tuple(sorted(e)) for c in cells for e in combinations(c, 2)}))
-    return LevelGraph(ifs, m, vertices, edges, cells)
+    cells = tuple(zip(*[iter([index[pt] for pt in corners])] * len(B)))
+    # edge (a, b), a < b, keyed by a*n + b, which sorts as the pair does
+    n = len(ordered)
+    keys = {a * n + b if a < b else b * n + a for c in cells for a, b in combinations(c, 2)}
+    edges = tuple(divmod(key, n) for key in sorted(keys))
+    return LevelGraph(ifs, m, ordered, q ** m * d, edges, cells)
 
 
 def components_after_removal(g: LevelGraph, removed: list[Point]) -> int:
@@ -136,12 +161,25 @@ def components_after_removal(g: LevelGraph, removed: list[Point]) -> int:
     return components
 
 
-def vertex_measure_weights(g: LevelGraph) -> list[Fraction]:
-    """Discretized self-similar measure on V_m: weight of v is
-    (cells containing v) / (N^m * k).  Sums to exactly 1."""
+def _cell_counts(g: LevelGraph) -> tuple[list[int], int]:
+    """(cells containing each vertex, N^m * k): the numerators and the
+    common denominator of the vertex measure weights."""
     counts = [0] * g.vertex_count
     for cell in g.cells:
         for i in cell:
             counts[i] += 1
-    denom = len(g.ifs.maps) ** g.level * len(g.ifs.boundary)
+    return counts, len(g.ifs.maps) ** g.level * len(g.ifs.boundary)
+
+
+def vertex_measure_weights(g: LevelGraph) -> list[Fraction]:
+    """Discretized self-similar measure on V_m: weight of v is
+    (cells containing v) / (N^m * k).  Sums to exactly 1."""
+    counts, denom = _cell_counts(g)
     return [Fraction(c, denom) for c in counts]
+
+
+def _float_measure_weights(g: LevelGraph) -> list[float]:
+    """vertex_measure_weights as floats, each one int true division,
+    which rounds correctly: the same floats as float(Fraction)."""
+    counts, denom = _cell_counts(g)
+    return [c / denom for c in counts]

@@ -57,6 +57,34 @@ def level_graph_wordwise(ifs, m: int):
     return vertices, edges, cells
 
 
+def harmonic_extension_fractions(ifs, m: int, boundary_values):
+    """The values of the recursive harmonic extension computed cell by
+    cell as Fraction dot products of the interpolation matrices, float
+    boundary values kept as floats (so Fraction*float products round at
+    every step); values indexed as build_level_graph(ifs, m)."""
+    from walkdim.dirichlet import _unit_levels
+    from walkdim.levelgraph import build_level_graph
+
+    k = len(ifs.boundary)
+    vals = [v if isinstance(v, float) else Fraction(v) for v in boundary_values]
+    cells1 = build_level_graph(ifs, 1).cells
+    corners = [vals]
+    for _, _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
+        children = []
+        for cell in corners:
+            local = [sum((row[b] * cell[b] for b in range(k)), start=Fraction(0)) for row in h]
+            children.extend([local[v] for v in sub] for sub in cells1)
+        corners = children
+    graph = build_level_graph(ifs, m)
+    values = [None] * graph.vertex_count
+    for cell, cell_values in zip(graph.cells, corners):
+        for v, x in zip(cell, cell_values):
+            if values[v] is None:
+                values[v] = x
+            assert values[v] == x, "inconsistent cell extension values"
+    return tuple(values)
+
+
 def dense_laplacian(n: int, edges: dict[tuple[int, int], Fraction]):
     lap = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), c in edges.items():

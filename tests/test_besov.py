@@ -610,3 +610,45 @@ class TestPushforward:
             pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, u)
         with pytest.raises(BudgetExceeded):
             alfors_check(g, ALPHA)  # level-graph weights: the weighted path
+
+
+LATTICE_GRAPHS = (
+    [("sg", m) for m in range(8)] + [("hook", m) for m in range(5)] + [("sg2", m) for m in range(4)]
+)
+
+
+class TestLatticeFloats:
+    """The float clouds are read off the integer numerators by int true
+    division; they equal the float(Fraction) conversions bit for bit."""
+
+    @pytest.mark.parametrize("name, m", LATTICE_GRAPHS)
+    def test_cloud_equals_fraction_floats(self, lattice_systems, name, m):
+        g = build_level_graph(lattice_systems[name], m)
+        pts, w = _cloud(g)
+        assert pts.tolist() == [[float(x), float(y)] for x, y in g.vertices]
+        assert w.tolist() == [float(v) for v in vertex_measure_weights(g)]
+
+    @pytest.mark.parametrize("scale", [F(1, 2), F(1), F(2), F(1, 3)])
+    @pytest.mark.parametrize("name, m", LATTICE_GRAPHS)
+    def test_image_cloud_equals_fraction_floats(self, lattice_systems, name, m, scale):
+        g = build_level_graph(lattice_systems[name], m)
+        t = LipschitzMap(scale, (F(2, 7), F(-5, 3)))
+        img = g.float_points(t.scale, t.translation)
+        assert img.tolist() == [[float(x), float(y)] for x, y in map(t.apply, g.vertices)]
+
+    def test_pushforward_scans_the_fraction_image(self, sg, monkeypatch):
+        clouds = []
+        scan = besov._ball_sums
+
+        def recording(points, *args):
+            clouds.append(points.tolist())
+            return scan(points, *args)
+
+        monkeypatch.setattr(besov, "_ball_sums", recording)
+        u = harmonic_on(sg, 5)
+        t = LipschitzMap(F(1, 3), (F(1, 7), F(-2, 5)))
+        pushforward_check(t, sg, u)
+        assert clouds == [
+            [[float(x), float(y)] for x, y in u.graph.vertices],
+            [[float(x), float(y)] for x, y in map(t.apply, u.graph.vertices)],
+        ]

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import walkdim.dirichlet
 import walkdim.network
-from oracles import dense_laplacian, exit_time_float, heat_diag_dense, solve_dense
+from oracles import (
+    dense_laplacian,
+    exit_time_float,
+    harmonic_extension_fractions,
+    heat_diag_dense,
+    solve_dense,
+)
 from walkdim.dirichlet import (
     GraphFunction,
     deep_interior_vertex,
@@ -20,7 +26,7 @@ from walkdim.dirichlet import (
 )
 from walkdim.errors import BudgetExceeded, FitError, ReductionError
 from walkdim.ifs import compose
-from walkdim.levelgraph import build_level_graph
+from walkdim.levelgraph import _float_measure_weights, build_level_graph, vertex_measure_weights
 
 F = Fraction
 
@@ -379,3 +385,61 @@ class TestDefaultTimeGrid:
         assert grid[-1] == 1000
         assert list(grid) == sorted(set(grid))
         assert all(isinstance(t, int) and t >= 1 for t in grid)
+
+
+INTEGER_ROUTE_CASES = [("sg", 6), ("segment", 8), ("hook", 4), ("sg2", 3)]
+
+
+class TestIntegerRoute:
+    """The recursive route on integer numerators against the Fraction
+    recursion it replaced (oracles.harmonic_extension_fractions)."""
+
+    @pytest.mark.parametrize("name, m_max", INTEGER_ROUTE_CASES)
+    def test_equals_fraction_recursion(self, lattice_systems, name, m_max):
+        ifs = lattice_systems[name]
+        vals = (F(3, 7), F(-5, 11), F(13, 6))[: len(ifs.boundary)]
+        for m in range(m_max + 1):
+            got = harmonic_extension(ifs, m, vals, method="recursive").values
+            assert got == harmonic_extension_fractions(ifs, m, vals)
+            assert all(type(v) is F for v in got)
+
+    @pytest.mark.parametrize("name, m_max", INTEGER_ROUTE_CASES)
+    def test_float_boundary_values(self, lattice_systems, name, m_max):
+        # computed exactly from the floats' Fractions, then rounded once;
+        # the Fraction*float recursion rounded at every step
+        ifs = lattice_systems[name]
+        vals = (0.1, -2.0 / 3, 1.7)[: len(ifs.boundary)]
+        for m in range(m_max + 1):
+            got = harmonic_extension(ifs, m, vals).values
+            exact = harmonic_extension_fractions(ifs, m, [F(v) for v in vals])
+            assert got == tuple(float(v) for v in exact)
+            old = harmonic_extension_fractions(ifs, m, vals)
+            assert all(type(v) is float for v in got)
+            assert got == pytest.approx(old, rel=1e-12, abs=0)
+
+
+class TestHeatMeasure:
+    """The heat kernel's measure is read off the cell counts by int true
+    division, equal to the float(Fraction) weights bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, m",
+        [("sg", m) for m in range(8)] + [("hook", m) for m in range(5)] + [("sg2", m) for m in range(4)],
+    )
+    def test_float_weights_equal_fraction_floats(self, lattice_systems, name, m):
+        g = build_level_graph(lattice_systems[name], m)
+        assert _float_measure_weights(g) == [float(w) for w in vertex_measure_weights(g)]
+
+    def test_heat_kernel_divides_by_those_weights(self, sg, monkeypatch):
+        seen = []
+
+        def recording(g):
+            seen.append(g)
+            return _float_measure_weights(g)
+
+        monkeypatch.setattr(walkdim.dirichlet, "_float_measure_weights", recording)
+        prof = heat_kernel_diag(sg, 5)
+        (g,) = seen
+        degrees = [len(nbrs) for nbrs in g.adjacency()]
+        pi = degrees[prof.base_vertex] / sum(degrees)
+        assert prof.plateau == pi / float(vertex_measure_weights(g)[prof.base_vertex])

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import walkdim.ifs
 from oracles import sample_measure_wordwise
 from walkdim._geometry import hull_intersection
 from walkdim.errors import ValidationError
@@ -233,6 +235,31 @@ class TestLatticeSampling:
         got = sample_measure(ifs, depth=depth, count=150, seed=seed).points
         assert got == sample_measure_wordwise(ifs, depth, 150, seed)
         assert all(type(c) is Fraction for p in got for c in p)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["segment", "sg"])
+    def test_composed_map_counts(self, lattice_systems, name, power, seed):
+        # segment: 2, 4 maps (k = 2, 3: half and a quarter of the words
+        # rejected); sg: 3, 9, 27 maps
+        ifs = lattice_systems[name]
+        for _ in range(power - 1):
+            ifs = compose(ifs, lattice_systems[name])
+        got = sample_measure(ifs, depth=3, count=150, seed=seed).points
+        assert got == sample_measure_wordwise(ifs, 3, 150, seed)
+
+    def test_second_batch(self, sg, segment, monkeypatch):
+        monkeypatch.setattr(walkdim.ifs, "DIGIT_BATCH", 7)
+        for ifs in (sg, segment):
+            got = sample_measure(ifs, depth=5, count=40, seed=3).points
+            assert got == sample_measure_wordwise(ifs, 5, 40, seed=3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 27])
+    def test_digits_across_batches_match_randrange(self, n):
+        count = 3 * walkdim.ifs.DIGIT_BATCH
+        rng = random.Random(11)
+        want = [rng.randrange(n) for _ in range(count)]
+        assert walkdim.ifs._uniform_digits(random.Random(11), n, count) == want
 
     def test_boundary_denominator_enters_lattice(self, lattice_systems):
         p, q, d, T, B = _lattice(lattice_systems["shifted-hook"])

@@ -5,8 +5,11 @@ import pytest
 from oracles import level_graph_wordwise
 from walkdim.errors import BudgetExceeded, WalkdimError
 from walkdim.ifs import compose
+from walkdim.besov import LipschitzMap, critical_exponent_fit, pushforward_check
+from walkdim.dirichlet import harmonic_extension, heat_kernel_diag
 from walkdim.levelgraph import (
     DEFAULT_CELL_BUDGET,
+    LevelGraph,
     build_level_graph,
     cell_budget,
     components_after_removal,
@@ -71,6 +74,25 @@ class TestBuild:
         with pytest.raises(WalkdimError):
             g.vertex_index((F(7), F(7)))
 
+    @pytest.mark.parametrize(
+        "point, text",
+        [
+            ((F(1, 3), F(0)), "(1/3, 0)"),  # off the lattice
+            ((F(3, 4), F(3, 4)), "(3/4, 3/4)"),  # on the lattice, outside the set
+            ((F(-1, 4), F(0)), "(-1/4, 0)"),  # a negative coordinate
+        ],
+    )
+    def test_vertex_index_miss_message(self, sg, point, text):
+        g = build_level_graph(sg, 2)
+        with pytest.raises(WalkdimError) as exc:
+            g.vertex_index(point)
+        assert str(exc.value) == f"{text} is not a vertex of the level-2 graph"
+
+    def test_equality_and_hash_follow_the_points(self, sg):
+        a, b = build_level_graph(sg, 3), build_level_graph(sg, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_level_graph(sg, 2)
+
     def test_adjacency_symmetric(self, sg):
         g = build_level_graph(sg, 2)
         adj = g.adjacency()
@@ -86,6 +108,34 @@ class TestLatticeGluing:
         g = build_level_graph(lattice_systems[name], m)
         assert (g.vertices, g.edges, g.cells) == level_graph_wordwise(g.ifs, m)
         assert all(type(c) is Fraction for p in g.vertices for c in p)
+
+
+class TestLazyVertices:
+    def test_built_once(self, sg):
+        g = build_level_graph(sg, 3)
+        assert "vertices" not in vars(g)
+        first = g.vertices
+        assert g.vertices is first
+        assert vars(g)["vertices"] is first
+
+    def test_estimators_never_build_vertices(self, sg, monkeypatch):
+        # the float estimators and the recursive route read the numerators
+        built = []
+        build_vertices = LevelGraph.__dict__["vertices"].func
+
+        def spy(self):
+            built.append(self)
+            return build_vertices(self)
+
+        monkeypatch.setattr(LevelGraph, "vertices", property(spy))
+        g = build_level_graph(sg, 5)
+        u = harmonic_extension(sg, 5, (F(1), F(0), F(0)), method="recursive")
+        heat_kernel_diag(sg, 5)
+        critical_exponent_fit(u.graph, u)
+        pushforward_check(LipschitzMap(F(1, 2), (F(1, 3), F(0))), sg, u)
+        assert built == []
+        monkeypatch.undo()
+        assert "vertices" not in vars(g) and "vertices" not in vars(u.graph)
 
 
 class TestBudget:
