@@ -3,11 +3,12 @@
 The scan computes, per radius r, the weighted mean-square oscillation
 over open balls B(x,r) normalized by empirical ball volumes, which is
 the discrete counterpart of the sup-over-r functional whose critical
-exponent recovers the walk dimension.  Point clouds come from level
-graphs (exact weights) or measure samples (uniform weights).  One
-kernel, _ball_sums, computes every squared distance once, in blocks of
-rows, and adds each block into per-point sums for each radius's open
-balls, nested from the largest ball inward; no pair outlives its block.
+exponent recovers the walk dimension.  Point clouds, level graphs
+(exact weights) or measure samples (uniform weights), are read off
+their integer numerators (ifs.LatticePoints).  One kernel, _ball_sums,
+computes every squared distance once, in blocks of rows, and adds each
+block into per-point sums for each radius's open balls, nested from the
+largest ball inward; no pair outlives its block.
 The pushforward audit makes one such scan per cloud.
 
 The float open-ball test d^2 < r^2 is exact when no lattice distance
@@ -53,14 +54,12 @@ def _cloud(source: PointSource) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     if isinstance(source, LevelGraph):
-        pts = source.float_points()
         w = np.array(_float_measure_weights(source))
     elif isinstance(source, MeasureSample):
-        pts = source.float_points()
-        w = np.full(len(source.points), 1.0 / len(source.points))
+        w = np.full(len(source.numerators), 1.0 / len(source.numerators))
     else:
         raise TypeError("point source must be a LevelGraph or MeasureSample")
-    return pts, w
+    return source.float_points(), w
 
 
 def _check_pair_budget(n: int) -> None:
@@ -83,7 +82,7 @@ def _function_values(source: PointSource, u) -> np.ndarray:
             raise ValueError("function is not defined on this point source")
         return u.float_values()
     arr = np.asarray([float(v) for v in u], dtype=float)
-    n = source.vertex_count if isinstance(source, LevelGraph) else len(source.points)
+    n = len(source.numerators)
     if arr.shape != (n,):
         raise ValueError(f"need one value per point ({n}), got shape {arr.shape}")
     return arr
@@ -485,21 +484,20 @@ def pushforward_check(
     transform: LipschitzMap,
     ifs: IfsSpec,
     u: GraphFunction,
-    alpha: Optional[float] = None,
     r_grid: Optional[Sequence[float]] = None,
 ) -> PushforwardReport:
     """Empirical invariance audit of the oscillation machinery under an
     affine bi-Lipschitz map.
 
-    Checks, on the level graph carrying u: (i) L^p norm scaling of the
-    transported function against the alpha-dimensional volume factor,
-    (ii) the pair-oscillation inequality image(r) <= C' * source(C*r)
-    with C the bi-Lipschitz constant and C' = C^(2 alpha), at every grid
-    radius, and (iii) agreement of the critical-exponent fits computed
-    independently on source and image clouds.  Each cloud is scanned
-    once, for all of its radii.  u must live on a level graph
-    of `ifs`; ValueError otherwise.  r_grid has besov_functional's
-    exactness limit.
+    Checks, on the level graph carrying u, with alpha = hausdorff_dim(ifs):
+    (i) L^p norm scaling of the transported function against the
+    alpha-dimensional volume factor, (ii) the pair-oscillation
+    inequality image(r) <= C' * source(C*r) with C the bi-Lipschitz
+    constant and C' = C^(2 alpha), at every grid radius, and (iii)
+    agreement of the critical-exponent fits computed independently on
+    source and image clouds.  Each cloud is scanned once, for all of its
+    radii.  u must live on a level graph of `ifs`; ValueError otherwise.
+    r_grid has besov_functional's exactness limit.
     """
     import numpy as np
 
@@ -508,8 +506,7 @@ def pushforward_check(
         raise ValueError(
             f"u lives on {graph.ifs.name!r}, not on the given system {ifs.name!r}"
         )
-    if alpha is None:
-        alpha = hausdorff_dim(ifs).value
+    alpha = hausdorff_dim(ifs).value
     radii = _radius_grid(r_grid)
     k = len(radii)
     float_radii = [float(r) for r in radii]

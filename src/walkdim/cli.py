@@ -39,10 +39,10 @@ from .errors import (
     ValidationError,
     WalkdimError,
 )
-from .ifs import IfsSpec, load_system, preset_names, sample_measure, validate
+from .ifs import IfsSpec, LatticePoints, load_system, preset_names, sample_measure, validate
 from .levelgraph import build_level_graph, components_after_removal
 from .network import renorm_factor, walk_dimension
-from .rational import format_rational, parse_rational
+from .rational import format_rational, json_number, parse_rational
 
 DEFAULT_SEED = 42
 
@@ -113,6 +113,11 @@ def _boundary_values(ifs: IfsSpec, boundary: Optional[str]) -> Sequence[Fraction
     return vals
 
 
+def _coordinate(source: LatticePoints, name: str):
+    """The coordinate function x or y, one float per point."""
+    return source.float_points()[:, "xy".index(name)]
+
+
 def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]):
     """Build the level graph and resolve a named test function on it:
     (graph, values), the values per vertex or the harmonic GraphFunction."""
@@ -120,9 +125,8 @@ def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]
         u = harmonic_extension(ifs, level, _boundary_values(ifs, boundary))
         return u.graph, u
     if name in ("x", "y"):
-        axis = 0 if name == "x" else 1
         graph = build_level_graph(ifs, level)
-        return graph, graph.float_points()[:, axis]
+        return graph, _coordinate(graph, name)
     raise _ParseFailure(f"unknown function {name!r} (harmonic, x, y)")
 
 
@@ -185,15 +189,9 @@ def _cmd_harmonic(args):
         "level": args.level,
         "boundary_values": [format_rational(v) for v in vals],
         "vertex_count": u.graph.vertex_count,
-        "energy_raw": format_rational(raw) if isinstance(raw, Fraction) else float(raw),
-        "energy_scale": (
-            format_rational(renorm.energy_scale)
-            if renorm.exact
-            else float(renorm.energy_scale)
-        ),
-        "energy_scaled": (
-            format_rational(scaled) if isinstance(scaled, Fraction) else float(scaled)
-        ),
+        "energy_raw": json_number(raw),
+        "energy_scale": json_number(renorm.energy_scale),
+        "energy_scaled": json_number(scaled),
         "min": min(floats),
         "max": max(floats),
     }
@@ -231,8 +229,7 @@ def _cmd_besov_fit(args):
             )
         _check_pair_budget(args.sample)
         source = sample_measure(ifs, depth=args.depth, count=args.sample, seed=args.seed)
-        axis = 0 if args.function == "x" else 1
-        u = [float(p[axis]) for p in source.points]
+        u = _coordinate(source, args.function)
     else:
         source, u = _graph_function(ifs, args.level, args.function, args.boundary)
     window = (

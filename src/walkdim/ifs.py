@@ -4,7 +4,8 @@ A gasket system is a list of similitudes x -> ratio*x + t sharing one
 contraction ratio, plus a declared boundary vertex set V0.  Validation
 checks the structural properties that the rest of the package relies on
 (finite ramification, connectivity); dimensions come out as exact
-LogRatio values.
+LogRatio values.  Level graphs and measure samples share one point
+format, LatticePoints: integer pairs over one denominator of _lattice.
 """
 
 from __future__ import annotations
@@ -292,21 +293,6 @@ def compose(outer: IfsSpec, inner: IfsSpec) -> IfsSpec:
     return IfsSpec(f"{outer.name}.{inner.name}", maps, outer.boundary)
 
 
-@dataclass(frozen=True)
-class MeasureSample:
-    """Points F_w(x0) for uniform random words w; the empirical picture
-    of the normalized self-similar (Hausdorff) measure."""
-
-    points: tuple[Point, ...]
-    depth: int
-    seed: int
-
-    def float_points(self):
-        import numpy as np
-
-        return np.array([[float(x), float(y)] for x, y in self.points])
-
-
 def _lattice(ifs: IfsSpec):
     """(p, q, d, T, B): ratio p/q; d = lcm of all translation and boundary
     denominators; T[i] = t_i*d; B = boundary*d.  F_w(b) with |w| = j is
@@ -316,6 +302,46 @@ def _lattice(ifs: IfsSpec):
     scaled = [tuple(int(c * d) for c in pt) for pt in pts]
     n = len(ifs.maps)
     return ifs.ratio.numerator, ifs.ratio.denominator, d, scaled[:n], tuple(scaled[n:])
+
+
+@dataclass(frozen=True)
+class LatticePoints:
+    """Point i is numerators[i] / denominator; `points`, the same points
+    as Fractions, is built on first use and kept.  Equality compares the
+    integers, which for one system and depth are equal exactly when the
+    points are."""
+
+    numerators: tuple[tuple[int, int], ...]
+    denominator: int
+
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        den = self.denominator
+        return tuple((Fraction(ax, den), Fraction(ay, den)) for ax, ay in self.numerators)
+
+    def float_points(self, scale: Fraction = Fraction(1), shift: Point = (0, 0)):
+        """The points scale*v + shift of the points v as an (n, 2) float
+        array.  With scale = s_n/s_d, a coordinate a/D and a shift t_n/t_d,
+        each float is one int true division, (s_n*t_d*a + t_n*s_d*D) /
+        (s_d*D*t_d): correctly rounded, the same float as float(Fraction)."""
+        import numpy as np
+
+        big = scale.denominator * self.denominator
+        (mx, ox, dx), (my, oy, dy) = (
+            (scale.numerator * t.denominator, t.numerator * big, big * t.denominator)
+            for t in map(Fraction, shift)
+        )
+        return np.array([((mx * ax + ox) / dx, (my * ay + oy) / dy) for ax, ay in self.numerators])
+
+
+@dataclass(frozen=True)
+class MeasureSample(LatticePoints):
+    """Points F_w(x0) for uniform random words w of length depth, over
+    the denominator q^depth*d; the empirical picture of the normalized
+    self-similar (Hausdorff) measure."""
+
+    depth: int
+    seed: int
 
 
 # Mersenne words drawn per getrandbits call of _uniform_digits.
@@ -349,22 +375,20 @@ def sample_measure(
     """count i.i.d. points F_{w1} o ... o F_{w_depth}(x0), x0 = first
     boundary vertex, digits uniform; deterministic in seed, the digits
     those of successive random.Random(seed).randrange(N) calls.
-    Composed on integer numerators (_lattice), one Fraction per
-    coordinate at the end."""
+    Composed and kept on integer numerators (_lattice)."""
     ensure_valid(ifs)
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be >= 1")
     digits = _uniform_digits(random.Random(seed), len(ifs.maps), count * depth)
     p, q, d, T, B = _lattice(ifs)
     q_powers = [q ** (j + 1) for j in range(depth)]
-    den = q_powers[-1] * d
-    pts: list[Point] = []
+    pts: list[tuple[int, int]] = []
     for start in range(0, count * depth, depth):
         ax, ay = B[0]
         for qj, digit in zip(q_powers, reversed(digits[start : start + depth])):
             ax, ay = p * ax + qj * T[digit][0], p * ay + qj * T[digit][1]
-        pts.append((Fraction(ax, den), Fraction(ay, den)))
-    return MeasureSample(tuple(pts), depth, seed)
+        pts.append((ax, ay))
+    return MeasureSample(tuple(pts), q_powers[-1] * d, depth, seed)
 
 
 def preset(name: str) -> IfsSpec:

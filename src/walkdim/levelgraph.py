@@ -1,12 +1,11 @@
 """Level-m vertex/edge approximations of a gasket attractor.
 
 Vertices are exact rational points, held as integer numerator pairs
-over the level's one denominator q^m*d (ifs._lattice); identity is
+over the level's one denominator q^m*d (ifs.LatticePoints); identity is
 exact equality, so cell gluing never false-merges.  The edge relation
 joins images of distinct boundary vertices under the same length-m
 word.  Vertex order is canonical (lexicographic, which sorted numerator
-pairs keep), making graph builds reproducible.  The Fraction points are
-built only when asked for; the float estimators divide the integers.
+pairs keep), making graph builds reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from itertools import combinations
 
 from ._geometry import Point
 from .errors import BudgetExceeded, WalkdimError
-from .ifs import IfsSpec, _lattice, ensure_valid
+from .ifs import IfsSpec, LatticePoints, _lattice, ensure_valid
 from .rational import format_rational
 
 DEFAULT_CELL_BUDGET = 10 ** 6
@@ -39,15 +38,11 @@ def cell_budget() -> int:
 
 
 @dataclass(frozen=True)
-class LevelGraph:
-    """Vertex i is the point numerators[i] / denominator; `vertices`, the
-    same points as Fractions, is built on first use and kept.  Equality
-    compares the integers, which are equal exactly when the points are."""
+class LevelGraph(LatticePoints):
+    """The level-m graph; its vertices are the lattice points, in order."""
 
     ifs: IfsSpec
     level: int
-    numerators: tuple[tuple[int, int], ...]
-    denominator: int
     edges: tuple[tuple[int, int], ...]
     cells: tuple[tuple[int, ...], ...]
 
@@ -59,24 +54,9 @@ class LevelGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @functools.cached_property
+    @property
     def vertices(self) -> tuple[Point, ...]:
-        den = self.denominator
-        return tuple((Fraction(ax, den), Fraction(ay, den)) for ax, ay in self.numerators)
-
-    def float_points(self, scale: Fraction = Fraction(1), shift: Point = (0, 0)):
-        """The points scale*v + shift of the vertices v as an (n, 2) float
-        array.  With scale = s_n/s_d, a coordinate a/D and a shift t_n/t_d,
-        each float is one int true division, (s_n*t_d*a + t_n*s_d*D) /
-        (s_d*D*t_d): correctly rounded, the same float as float(Fraction)."""
-        import numpy as np
-
-        big = scale.denominator * self.denominator
-        (mx, ox, dx), (my, oy, dy) = (
-            (scale.numerator * t.denominator, t.numerator * big, big * t.denominator)
-            for t in map(Fraction, shift)
-        )
-        return np.array([((mx * ax + ox) / dx, (my * ay + oy) / dy) for ax, ay in self.numerators])
+        return self.points
 
     @functools.cached_property
     def _index(self) -> dict[tuple[int, int], int]:
@@ -137,7 +117,7 @@ def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     n = len(ordered)
     keys = {a * n + b if a < b else b * n + a for c in cells for a, b in combinations(c, 2)}
     edges = tuple(divmod(key, n) for key in sorted(keys))
-    return LevelGraph(ifs, m, ordered, q ** m * d, edges, cells)
+    return LevelGraph(ordered, q ** m * d, ifs, m, edges, cells)
 
 
 def components_after_removal(g: LevelGraph, removed: list[Point]) -> int:

@@ -18,7 +18,7 @@ from .errors import ConvergenceError, ReductionError
 from .ifs import IfsSpec, ensure_valid
 from .levelgraph import build_level_graph
 from .logratio import LogRatio
-from .rational import as_fraction, format_rational
+from .rational import as_fraction, json_number
 
 Conductance = Union[Fraction, float]
 Edge = tuple[int, int]
@@ -64,14 +64,11 @@ class ConductanceNetwork:
         return self.conductances.get(key, 0)
 
     def to_json(self) -> dict:
-        def fmt(c: Conductance):
-            return format_rational(c) if isinstance(c, (int, Fraction)) else float(c)
-
         return {
             "vertex_count": self.vertex_count,
             "boundary": list(self.boundary),
             "edges": [
-                [i, j, fmt(c)] for (i, j), c in sorted(self.conductances.items())
+                [i, j, json_number(c)] for (i, j), c in sorted(self.conductances.items())
             ],
         }
 
@@ -225,9 +222,8 @@ class RenormResult:
     iterations: int
 
     def to_json(self) -> dict:
-        scale = self.energy_scale
         return {
-            "energy_scale": format_rational(scale) if self.exact else float(scale),
+            "energy_scale": json_number(self.energy_scale),
             "exact": self.exact,
             "iterations": self.iterations,
             "fixed_network": self.fixed_network.to_json(),
@@ -302,11 +298,7 @@ class DimensionReport:
         out = {
             "name": self.name,
             "alpha": self.alpha.to_json(),
-            "energy_scale": (
-                format_rational(self.energy_scale)
-                if self.exact
-                else float(self.energy_scale)
-            ),
+            "energy_scale": json_number(self.energy_scale),
             "exact": self.exact,
             "floats": {
                 "alpha": self.alpha_float,

@@ -57,6 +57,13 @@ def format_rational(value: RationalLike) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def json_number(value) -> Union[str, float]:
+    """An int or Fraction as its "p/q" string, any other number as a float."""
+    if isinstance(value, (int, Fraction)):
+        return format_rational(value)
+    return float(value)
+
+
 def inth_root(n: int, k: int) -> int | None:
     """Integer k-th root of n >= 1 if exact, else None."""
     if n < 1 or k < 1:

@@ -12,7 +12,10 @@ import pytest
 
 import walkdim.cli
 import walkdim.dirichlet
+from walkdim.besov import critical_exponent_fit
 from walkdim.cli import main
+from walkdim.ifs import sample_measure
+from walkdim.levelgraph import build_level_graph
 
 
 def run(capsys, *argv):
@@ -240,6 +243,18 @@ class TestBesovFit:
         assert payload["error"] == "budget"
         assert "WALKDIM_BUDGET" not in payload["detail"]
 
+    @pytest.mark.parametrize("cloud", [("--sample", "2000"), ("-m", "5")])
+    def test_y_coordinate_function(self, capsys, sg, cloud):
+        rc, payload = run(capsys, "besov-fit", "sg", *cloud, "--function", "y")
+        assert rc == 0
+        if cloud[0] == "--sample":
+            source, seed = sample_measure(sg, depth=10, count=2000, seed=42), 42
+        else:
+            source, seed = build_level_graph(sg, 5), None
+        fit = critical_exponent_fit(source, [float(p[1]) for p in source.points])
+        want = {"system": "sg", "function": "y", "seed": seed, **fit.to_json()}
+        assert payload == json.loads(json.dumps(want))
+
     def test_sample_rejects_harmonic(self, capsys):
         rc, payload = run(capsys, "besov-fit", "sg", "--sample", "100")
         assert rc == 2
@@ -423,6 +438,8 @@ for line in (
     "heat-fit sg -m 5",
     "besov-fit sg -m 5",
     "besov-fit sg --sample 2000 --function x",
+    "besov-fit sg --sample 2000 --function y",
+    "besov-fit sg -m 5 --function y",
     "pushforward sg -m 5 --scale 1/2",
 ):
     with contextlib.redirect_stdout(io.StringIO()):

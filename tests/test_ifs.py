@@ -232,9 +232,12 @@ class TestLatticeSampling:
     @pytest.mark.parametrize("name", ["sg", "segment", "hook", "sg2", "shifted-hook"])
     def test_matches_wordwise_oracle(self, lattice_systems, name, depth, seed):
         ifs = lattice_systems[name]
-        got = sample_measure(ifs, depth=depth, count=150, seed=seed).points
-        assert got == sample_measure_wordwise(ifs, depth, 150, seed)
-        assert all(type(c) is Fraction for p in got for c in p)
+        sample = sample_measure(ifs, depth=depth, count=150, seed=seed)
+        want = sample_measure_wordwise(ifs, depth, 150, seed)
+        assert sample.points == want
+        assert all(type(c) is Fraction for p in sample.points for c in p)
+        # the float points come off the integers, the same floats as float(Fraction)
+        assert sample.float_points().tolist() == [[float(x), float(y)] for x, y in want]
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("power", [1, 2, 3])

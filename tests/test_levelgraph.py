@@ -4,12 +4,17 @@ import pytest
 
 from oracles import level_graph_wordwise
 from walkdim.errors import BudgetExceeded, WalkdimError
-from walkdim.ifs import compose
-from walkdim.besov import LipschitzMap, critical_exponent_fit, pushforward_check
+from walkdim.ifs import LatticePoints, compose, sample_measure
+from walkdim.besov import (
+    LipschitzMap,
+    alfors_check,
+    besov_functional,
+    critical_exponent_fit,
+    pushforward_check,
+)
 from walkdim.dirichlet import harmonic_extension, heat_kernel_diag
 from walkdim.levelgraph import (
     DEFAULT_CELL_BUDGET,
-    LevelGraph,
     build_level_graph,
     cell_budget,
     components_after_removal,
@@ -113,29 +118,35 @@ class TestLatticeGluing:
 class TestLazyVertices:
     def test_built_once(self, sg):
         g = build_level_graph(sg, 3)
-        assert "vertices" not in vars(g)
+        assert "points" not in vars(g)
         first = g.vertices
-        assert g.vertices is first
-        assert vars(g)["vertices"] is first
+        assert g.vertices is first and g.points is first
+        assert vars(g)["points"] is first
 
     def test_estimators_never_build_vertices(self, sg, monkeypatch):
-        # the float estimators and the recursive route read the numerators
+        # the float estimators and the recursive route read the numerators,
+        # on level graphs and on measure samples alike
         built = []
-        build_vertices = LevelGraph.__dict__["vertices"].func
+        build_points = LatticePoints.__dict__["points"].func
 
         def spy(self):
             built.append(self)
-            return build_vertices(self)
+            return build_points(self)
 
-        monkeypatch.setattr(LevelGraph, "vertices", property(spy))
+        monkeypatch.setattr(LatticePoints, "points", property(spy))
         g = build_level_graph(sg, 5)
         u = harmonic_extension(sg, 5, (F(1), F(0), F(0)), method="recursive")
         heat_kernel_diag(sg, 5)
         critical_exponent_fit(u.graph, u)
         pushforward_check(LipschitzMap(F(1, 2), (F(1, 3), F(0))), sg, u)
+        s = sample_measure(sg, 8, 500, seed=1)
+        x = s.float_points()[:, 0]
+        besov_functional(s, x, 0.5)
+        critical_exponent_fit(s, x)
+        alfors_check(s, 1.0)
         assert built == []
         monkeypatch.undo()
-        assert "vertices" not in vars(g) and "vertices" not in vars(u.graph)
+        assert all("points" not in vars(c) for c in (g, u.graph, s))
 
 
 class TestBudget:
