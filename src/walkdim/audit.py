@@ -1,11 +1,12 @@
 """Pairwise dimension audit for self-similar sets.
 
 Decides whether two systems are separated by an exact Lipschitz
-invariant: first the Hausdorff dimension, then the walk dimension.  A
-DISTINCT verdict always carries an integer certificate (two unequal
-integers obtained from an exact power comparison); equality of both
-invariants is reported as a necessary-condition pass only, never as
-equivalence.
+invariant: first the Hausdorff dimension, then the walk dimension, which
+must then be exact (alpha alone can separate a system whose energy scale
+is only known as a float).  A DISTINCT verdict always carries an integer
+certificate (two unequal integers obtained from an exact power
+comparison); equality of both invariants is reported as a
+necessary-condition pass only, never as equivalence.
 """
 
 from __future__ import annotations
@@ -114,11 +115,11 @@ def _certificate_json(cert: PowerCertificate) -> dict:
 class AuditVerdict:
     names: tuple[str, str]
     alphas: tuple[LogRatio, LogRatio]
-    betas: tuple[LogRatio, LogRatio]
+    betas: tuple[Optional[LogRatio], Optional[LogRatio]]
     verdict: str
     certificate: Optional[PowerCertificate]
     alpha_comparison: Comparison
-    beta_comparison: Comparison
+    beta_comparison: Optional[Comparison]  # None when a beta is inexact
     note: str
 
     @property
@@ -138,9 +139,13 @@ class AuditVerdict:
         return {
             "subjects": list(self.names),
             "alpha": [a.to_json() for a in self.alphas],
-            "beta": [b.to_json() for b in self.betas],
+            "beta": [b.to_json() if b is not None else None for b in self.betas],
             "alpha_comparison": _comparison_json(self.alpha_comparison),
-            "beta_comparison": _comparison_json(self.beta_comparison),
+            "beta_comparison": (
+                _comparison_json(self.beta_comparison)
+                if self.beta_comparison is not None
+                else None
+            ),
             "verdict": self.verdict,
             "certificate": (
                 _certificate_json(self.certificate)
@@ -160,24 +165,27 @@ def audit_pair(
 ) -> AuditVerdict:
     """Compare two systems by (alpha, beta) and render a verdict.
 
-    Alpha separates first; otherwise beta.  Only exact integer
-    certificates produce DISTINCT verdicts: distinct walk dimensions
-    rule out any bi-Lipschitz map between the sets, so the verdict has
-    to be proof-grade.  Anything resting on float comparison alone is
-    INCONCLUSIVE.
+    Alpha separates first; otherwise beta, which then has to be exact
+    on both sides (an inexact side raises WalkdimError).  Only exact
+    integer certificates produce DISTINCT verdicts: distinct walk
+    dimensions rule out any bi-Lipschitz map between the sets, so the
+    verdict has to be proof-grade.  Anything resting on float
+    comparison alone is INCONCLUSIVE.
     """
     ra = as_dimension_report(a, name_a)
     rb = as_dimension_report(b, name_b)
-    for rep in (ra, rb):
-        if rep.beta is None:
-            raise WalkdimError(
-                f"renormalization for '{rep.name}' did not resolve to an "
-                "exact energy scale; the audit needs exact invariants"
-            )
     ca = ra.alpha.compare(rb.alpha, float_tol=float_tol)
-    cb = ra.beta.compare(rb.beta, float_tol=float_tol)
+    by_alpha = ca.relation is Relation.DISTINCT and ca.route == "exact"
+    inexact = [rep.name for rep in (ra, rb) if rep.beta is None]
+    if inexact and not by_alpha:
+        raise WalkdimError(
+            f"renormalization for '{inexact[0]}' did not resolve to an "
+            "exact energy scale, and alpha does not separate the pair; "
+            "the audit needs an exact beta"
+        )
+    cb = None if inexact else ra.beta.compare(rb.beta, float_tol=float_tol)
 
-    if ca.relation is Relation.DISTINCT and ca.route == "exact":
+    if by_alpha:
         verdict, cert = DISTINCT_BY_ALPHA, ca.certificate
         note = (
             "Hausdorff dimensions differ with an exact certificate; "

@@ -204,23 +204,6 @@ class LogRatio:
             f"/log({format_rational(self.base)}))"
         )
 
-    def __add__(self, other: "LogRatio") -> "LogRatio":
-        if not isinstance(other, LogRatio):
-            return NotImplemented
-        if other.base == self.base:
-            return LogRatio(self.argument * other.argument, self.base)
-        s1, j1 = primitive_root(self.base)
-        s2, j2 = primitive_root(other.base)
-        if s1 != s2:
-            raise ArithmeticError(
-                "cannot add log-ratios with incommensurable bases exactly"
-            )
-        # log(a1)/(j1 log s) + log(a2)/(j2 log s)
-        #   = log(a1^j2 * a2^j1) / log(s^(j1 j2))
-        return LogRatio(
-            self.argument ** j2 * other.argument ** j1, s1 ** (j1 * j2)
-        )
-
     def try_exact_rational(self) -> Optional[Fraction]:
         """Return this value as a Fraction if it is rational, else None."""
         if self.argument == 1:
@@ -238,7 +221,8 @@ class LogRatio:
         """Exact three-way comparison with a separating certificate.
 
         Equality and distinctness are decided by integer arithmetic when
-        the two bases share a primitive root.  Incommensurable bases fall
+        the two bases share a primitive root (a zero value shares every
+        root) or both values are rational.  Incommensurable bases fall
         back to floats: a gap above float_tol is reported distinct
         (without an integer certificate), anything closer is
         inconclusive.
@@ -247,92 +231,44 @@ class LogRatio:
             raise TypeError("can only compare LogRatio with LogRatio")
         gap = self.value - other.value
 
-        # Zero arguments short-circuit: log(a)/log(b) == 0 iff a == 1.
-        if self.argument == 1 or other.argument == 1:
-            if self.argument == 1 and other.argument == 1:
-                return Comparison(Relation.EQUAL, None, 0.0, "exact")
-            nz = other if self.argument == 1 else self
-            arg = nz.argument if nz.argument > 1 else 1 / nz.argument
-            first_greater = (
-                other.argument < 1 if self.argument == 1 else self.argument > 1
-            )
-            cert = _oriented_certificate(
-                arg.numerator,
-                arg.denominator,
-                format_rational(arg),
-                "1",
-                (
-                    "one side is log(1) = 0; the other argument differs from 1",
-                    f"cross-multiply {format_rational(arg)} vs 1: "
-                    f"{arg.numerator} vs {arg.denominator}",
-                ),
-                first_greater,
-            )
-            return Comparison(Relation.DISTINCT, cert, gap, "exact")
-
         # Both values exactly rational: decidable even across
-        # incommensurable bases (log9/log3 == log4/log2 == 2).
-        r1 = self.try_exact_rational()
-        r2 = other.try_exact_rational()
-        if r1 is not None and r2 is not None:
-            if r1 == r2:
-                return Comparison(Relation.EQUAL, None, gap, "exact")
-            cert = PowerCertificate(
-                r1.numerator * r2.denominator,
-                r2.numerator * r1.denominator,
-                format_rational(r1),
-                format_rational(r2),
-                (
+        # incommensurable bases (log9/log3 == log4/log2 == 2).  A zero
+        # value is left to the power test below, which needs no shared base.
+        if self.argument != 1 and other.argument != 1:
+            r1 = self.try_exact_rational()
+            r2 = other.try_exact_rational()
+            if r1 is not None and r2 is not None:
+                if r1 == r2:
+                    return Comparison(Relation.EQUAL, None, gap, "exact")
+                li = r1.numerator * r2.denominator
+                ri = r2.numerator * r1.denominator
+                lp, rp = format_rational(r1), format_rational(r2)
+                cert = PowerCertificate(li, ri, lp, rp, (
                     "both values are exact rationals",
-                    f"cross-multiply {format_rational(r1)} vs "
-                    f"{format_rational(r2)}: {r1.numerator * r2.denominator} "
-                    f"vs {r2.numerator * r1.denominator}",
-                ),
-            )
-            return Comparison(Relation.DISTINCT, cert, gap, "exact")
+                    f"cross-multiply {lp} vs {rp}: {li} vs {ri}",
+                ))
+                return Comparison(Relation.DISTINCT, cert, gap, "exact")
 
-        sign1 = 1 if self.argument > 1 else -1
-        sign2 = 1 if other.argument > 1 else -1
-        a1 = self.argument if sign1 > 0 else 1 / self.argument
-        a2 = other.argument if sign2 > 0 else 1 / other.argument
-
+        # log(1) == 0 over every base, so a zero value takes the other
+        # side's primitive root (a second zero then takes the first's).
         s1, j1 = primitive_root(self.base)
         s2, j2 = primitive_root(other.base)
+        if self.argument == 1:
+            s1, j1 = s2, 1
+        if other.argument == 1:
+            s2, j2 = s1, 1
         if s1 != s2:
             if abs(gap) > float_tol:
                 return Comparison(Relation.DISTINCT, None, gap, "float")
             return Comparison(Relation.INCONCLUSIVE, None, gap, "float")
 
-        if sign1 != sign2:
-            # Values straddle zero; their difference is
-            # log(a1**j2 * a2**j1) over a positive multiple of log(s),
-            # and both normalized arguments exceed 1, so the product
-            # witnesses the gap by exceeding 1.
-            prod = a1 ** j2 * a2 ** j1
-            cert = _oriented_certificate(
-                prod.numerator,
-                prod.denominator,
-                format_rational(prod),
-                "1",
-                (
-                    "values have opposite signs",
-                    f"gap is log(({format_rational(a1)})^{j2}"
-                    f"*({format_rational(a2)})^{j1}) "
-                    f"over a positive multiple of log({format_rational(s1)})",
-                    f"cross-multiply {format_rational(prod)} vs 1: "
-                    f"{prod.numerator} vs {prod.denominator}",
-                ),
-                sign1 > 0,
-            )
-            return Comparison(Relation.DISTINCT, cert, gap, "exact")
-
-        # Common base s: equality iff a1**j2 == a2**j1 (both args
-        # normalized above 1, exponents from base = s**j normalization).
-        if a1 ** j2 == a2 ** j1:
+        # Common base s: log(a1)/(j1 log s) vs log(a2)/(j2 log s) has the
+        # order of a1**j2 vs a2**j1 for any positive a1, a2, since log s > 0.
+        a1, a2 = self.argument, other.argument
+        left, right = a1 ** j2, a2 ** j1
+        if left == right:
             return Comparison(Relation.EQUAL, None, gap, "exact")
         li, ri, lp, rp, steps = _reduce_power_pair(a1, j2, a2, j1)
-        # magnitude order flips for two negative values
-        first_greater = (a1 ** j2 > a2 ** j1) == (sign1 > 0)
         cert = _oriented_certificate(
             li, ri, format_rational(lp), format_rational(rp),
             (
@@ -340,7 +276,7 @@ class LogRatio:
                 f"({format_rational(a1)})^{j2} vs ({format_rational(a2)})^{j1}",
             )
             + tuple(steps),
-            first_greater,
+            left > right,
         )
         return Comparison(Relation.DISTINCT, cert, gap, "exact")
 

@@ -275,7 +275,9 @@ def renorm_factor(
             return RenormResult(1.0 / mu, fixed, False, it)
         mu_prev = mu
     raise ConvergenceError(
-        f"renormalization direction did not stabilize in {max_iter} iterations"
+        f"renormalization direction did not stabilize in {max_iter} "
+        f"iterations at tol {tol:g}; raise max_iter (--max-iter) or "
+        "loosen tol (--tol)"
     )
 
 

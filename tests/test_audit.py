@@ -130,6 +130,19 @@ class TestRoutes:
         with pytest.raises(WalkdimError):
             audit_pair(rough, K1)
 
+    def test_alpha_separates_inexact_subject(self, hook):
+        # the hook's energy scale is only a float, yet its alpha
+        # log5/log3 against the 3-map segment's 1 separates exactly
+        seg3 = (3, F(1, 3), F(3))
+        result = audit_pair(hook, seg3)
+        assert result.verdict == DISTINCT_BY_ALPHA
+        assert result.certificate.render() == "5 != 3"
+        assert result.betas[0] is None and result.beta_comparison is None
+        payload = result.to_json()
+        assert payload["beta"][0] is None
+        assert payload["beta"][1]["exact_rational"] == "2"
+        assert payload["beta_comparison"] is None
+
     def test_custom_names(self):
         result = audit_pair(K1, K2, name_a="first", name_b="second")
         assert result.names == ("first", "second")

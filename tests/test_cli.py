@@ -94,6 +94,26 @@ class TestCompare:
         assert rc == 0
         assert payload["verdict"] == "DISTINCT_BY_ALPHA"
 
+    def test_alpha_separates_inexact_hook(self, capsys, tmp_path, hook):
+        # the hook's beta is a float; alpha alone certifies the verdict
+        seg3 = {
+            "name": "seg3",
+            "maps": [
+                {"ratio": "1/3", "translate": [f"{i}/3", "0"]} for i in range(3)
+            ],
+            "boundary": [["0", "0"], ["1", "0"]],
+        }
+        paths = []
+        for name, config in (("hook", hook.to_json()), ("seg3", seg3)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(config))
+        rc, payload = run(capsys, "compare", *map(str, paths))
+        assert rc == 0
+        assert payload["verdict"] == "DISTINCT_BY_ALPHA"
+        assert payload["certificate"]["rendered"] == "5 != 3"
+        assert payload["beta"][0] is None
+        assert payload["beta_comparison"] is None
+
     def test_wrong_arity(self, capsys):
         rc, payload = run(capsys, "compare", "sg")
         assert rc == 2
@@ -343,7 +363,31 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         assert rc == 0, f"{line}\n{out}"
 
 
+# The n = 4 grid gasket on seven of its ten cells: its unit network is
+# not renormalization-fixed and the float iteration needs 191 steps.
+SLOW_GRID = {
+    "name": "slow-grid",
+    "maps": [
+        {"ratio": "1/4", "translate": [f"{i}/4", f"{j}/4"]}
+        for i, j in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 0), (3, 0)]
+    ],
+    "boundary": [["0", "0"], ["1", "0"], ["0", "1"]],
+}
+
+
 class TestErrorPaths:
+    def test_convergence_names_its_knobs(self, capsys, tmp_path):
+        path = tmp_path / "slow-grid.json"
+        path.write_text(json.dumps(SLOW_GRID))
+        rc, payload = run(capsys, "renorm", str(path))
+        assert rc == 1
+        assert payload["error"] == "convergence"
+        assert "--max-iter" in payload["detail"] and "--tol" in payload["detail"]
+        rc, payload = run(capsys, "renorm", str(path), "--max-iter", "5000")
+        assert rc == 0
+        assert payload["exact"] is False
+        assert payload["iterations"] == 191
+
     def test_missing_file(self, capsys):
         rc, payload = run(capsys, "dim", "nonexistent.json")
         assert rc == 2
@@ -477,6 +521,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("heat-fit sg -m 6", "heat_fit_sg_m6.out"),
         ("besov-fit sg -m 7", "besov_fit_sg_m7.out"),
         ("pushforward sg -m 6 --scale 1/2", "pushforward_sg_m6_scale1_2.out"),
+        (
+            "compare --constants 3,1/2,5/3 --constants 27,1/8,295/63",
+            "compare_constants_3_27.out",
+        ),
+        (
+            "compare --constants 27,1/8,295/63 --constants 81,1/16,1475/189",
+            "compare_constants_27_81.out",
+        ),
+        ("compare sg segment", "compare_sg_segment.out"),
     ],
 )
 def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
@@ -485,7 +538,10 @@ def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
     print what their earlier routes did (Fraction by Fraction, sparse
     lazy-walk steps).  The two besov-fit files and the pushforward file
     date from the streaming ball sums; they moved from the pair-list
-    route's by at most 4e-13 relative, every integer and string equal."""
+    route's by at most 4e-13 relative, every integer and string equal.
+    The three compare files pin the audit JSON and its certificates:
+    the README pair, the pair that reduces by cancellation, and a
+    verdict by alpha."""
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     assert main(argv.split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()

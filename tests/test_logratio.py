@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from walkdim.audit import verify_certificate
 from walkdim.logratio import (
     LogRatio,
     PowerCertificate,
@@ -21,6 +22,41 @@ BETA_C = LogRatio(Fraction(4425, 7), 16)
 small_fractions = st.builds(
     Fraction, st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=30)
 )
+
+# Each base as s**k over its primitive root s (k < 0 for a base below 1).
+ROOTS = {
+    Fraction(2): (2, 1), Fraction(4): (2, 2), Fraction(8): (2, 3),
+    Fraction(16): (2, 4), Fraction(1, 2): (2, -1),
+    Fraction(3): (3, 1), Fraction(9): (3, 2), Fraction(27): (3, 3),
+}
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def exact_order(a1, b1, a2, b2):
+    """Sign of log(a1)/log(b1) - log(a2)/log(b2) by Fraction powers, or
+    None when the bases in ROOTS give no exact answer.
+
+    Over one root s the values are log(a)/(k*log s); multiplying both by
+    |k1*k2|*log(s) > 0 leaves a1**(sgn(k1)|k2|) against a2**(sgn(k2)|k1|).
+    A zero value (a == 1) shares every root."""
+    (s1, k1), (s2, k2) = ROOTS[b1], ROOTS[b2]
+    if a1 == 1:
+        s1, k1 = s2, 1
+    if a2 == 1:
+        s2, k2 = s1, 1
+    if s1 == s2:
+        left = a1 ** (_sign(k1) * abs(k2))
+        right = a2 ** (_sign(k2) * abs(k1))
+        return _sign(left - right)
+    # across roots only rational values m/k (a == s**m) are exact
+    m1 = next((m for m in range(-6, 7) if Fraction(s1) ** m == a1), None)
+    m2 = next((m for m in range(-6, 7) if Fraction(s2) ** m == a2), None)
+    if m1 is None or m2 is None:
+        return None
+    return _sign(Fraction(m1, k1) - Fraction(m2, k2))
 
 
 class TestConstruction:
@@ -85,20 +121,6 @@ class TestPrimitiveRoot:
         assert k % j == 0 or s != root  # k >= j whenever s is itself primitive
 
 
-class TestArithmetic:
-    def test_same_base_addition(self):
-        assert (LogRatio(3, 2) + LogRatio(Fraction(5, 3), 2)) == LogRatio(5, 2)
-
-    def test_commensurable_addition(self):
-        # log(27)/log(8) + log(3)/log(2) = log3/log2 + log3/log2
-        total = LogRatio(27, 8) + ALPHA
-        assert total == LogRatio(9, 2)
-
-    def test_incommensurable_addition_raises(self):
-        with pytest.raises(ArithmeticError):
-            LogRatio(2, 3) + LogRatio(2, 5)
-
-
 class TestExactRational:
     def test_integer_value(self):
         assert LogRatio(8, 2).try_exact_rational() == 3
@@ -155,6 +177,13 @@ class TestCompare:
         assert c.relation is Relation.DISTINCT
         # oriented by value: the zero side is smaller
         assert c.certificate.render() == "1 != 3"
+
+    def test_zero_vs_nonzero_incommensurable_bases(self):
+        # log(1) == 0 over base 3 takes base 5's root: 1 vs 2 exactly
+        c = LogRatio(1, 3).compare(LogRatio(2, 5))
+        assert c.relation is Relation.DISTINCT and c.route == "exact"
+        assert c.certificate.render() == "1 != 2"
+        assert verify_certificate(c.certificate)
 
     def test_rational_values_cross_base(self):
         # decidable even though bases 3 and 2 are incommensurable
@@ -231,23 +260,26 @@ class TestCompareProperties:
         assert a.compare(c).relation is Relation.EQUAL
 
     @given(
-        small_fractions.filter(lambda f: f != 1),
-        small_fractions.filter(lambda f: f != 1),
-        st.sampled_from([2, 4, 8, 16]),
-        st.sampled_from([2, 4, 8, 16]),
+        st.one_of(st.just(Fraction(1)), small_fractions),
+        st.one_of(st.just(Fraction(1)), small_fractions),
+        st.sampled_from(sorted(ROOTS)),
+        st.sampled_from(sorted(ROOTS)),
     )
     def test_distinct_certificates_verify(self, a1, a2, b1, b2):
         x, y = LogRatio(a1, b1), LogRatio(a2, b2)
         c = x.compare(y)
+        order = exact_order(a1, b1, a2, b2)
+        if c.route == "float":
+            assert order is None and c.certificate is None
+            return
+        assert order is not None
+        assert (c.relation is Relation.EQUAL) == (order == 0)
         if c.relation is Relation.DISTINCT:
-            assert c.route == "exact"
-            assert c.certificate is not None
-            assert c.certificate.left_integer != c.certificate.right_integer
-            # a certificate never contradicts the float gap
-            if abs(c.float_gap) > 1e-9:
-                assert (
-                    c.certificate.left_integer > c.certificate.right_integer
-                ) == (c.float_gap > 0)
+            assert verify_certificate(c.certificate)
+            # oriented by the exact value order
+            assert (
+                c.certificate.left_integer > c.certificate.right_integer
+            ) == (order > 0)
 
     @given(small_fractions.filter(lambda f: f != 1), st.sampled_from([2, 3, 5]))
     def test_reflexive(self, a, b):

@@ -287,7 +287,12 @@ class TestWalkDimension:
 
     def test_alpha_plus_gamma(self, sg):
         rep = walk_dimension(sg)
-        assert rep.alpha + rep.gamma == rep.beta
+        # alpha and gamma share the base 1/rho, so beta's argument is
+        # the product of theirs
+        assert rep.alpha.base == rep.gamma.base
+        assert rep.beta == LogRatio(
+            rep.alpha.argument * rep.gamma.argument, rep.alpha.base
+        )
 
     def test_from_constants_matches_geometry(self, sg):
         geo = walk_dimension(sg)
