@@ -77,7 +77,6 @@ from .network import (
     DimensionReport,
     RenormResult,
     dimension_report_from_constants,
-    reduce_boundary,
     renorm_factor,
     unit_complete_network,
     walk_dimension,
@@ -143,7 +142,6 @@ __all__ = [
     "preset_names",
     "pushforward_check",
     "parse_rational",
-    "reduce_boundary",
     "renorm_factor",
     "sample_measure",
     "solve_weighted_laplacian",

@@ -161,7 +161,6 @@ def audit_pair(
     b: Subject,
     name_a: Optional[str] = None,
     name_b: Optional[str] = None,
-    float_tol: float = 1e-9,
 ) -> AuditVerdict:
     """Compare two systems by (alpha, beta) and render a verdict.
 
@@ -174,7 +173,7 @@ def audit_pair(
     """
     ra = as_dimension_report(a, name_a)
     rb = as_dimension_report(b, name_b)
-    ca = ra.alpha.compare(rb.alpha, float_tol=float_tol)
+    ca = ra.alpha.compare(rb.alpha)
     by_alpha = ca.relation is Relation.DISTINCT and ca.route == "exact"
     inexact = [rep.name for rep in (ra, rb) if rep.beta is None]
     if inexact and not by_alpha:
@@ -183,7 +182,7 @@ def audit_pair(
             "exact energy scale, and alpha does not separate the pair; "
             "the audit needs an exact beta"
         )
-    cb = None if inexact else ra.beta.compare(rb.beta, float_tol=float_tol)
+    cb = None if inexact else ra.beta.compare(rb.beta)
 
     if by_alpha:
         verdict, cert = DISTINCT_BY_ALPHA, ca.certificate

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from .errors import FitError
 from .ifs import IfsSpec, ensure_valid
 from .levelgraph import LevelGraph, _check_level, _float_measure_weights, build_level_graph
-from .network import _back_substitute, _eliminate, _matrix, _refine, unit_complete_network
+from .network import _back_substitute, _eliminate, _matrix, _refine
 from .rational import as_fraction, format_rational
 
 if TYPE_CHECKING:
@@ -64,19 +64,22 @@ def solve_weighted_laplacian(
 
 
 def _unit_levels(ifs: IfsSpec, m: int, interpolate: bool = False) -> list[tuple]:
-    """(trace on V0, load left on V0, V0 -> V1 interpolation matrix or
-    None without `interpolate`) of the unit level-j problem, j = 0..m,
-    each corner of the unit complete level-0 network loaded by its
-    degree.
+    """(cell matrix on V0, V0 -> V1 interpolation matrix or None without
+    `interpolate`) of the unit level-j problem, j = 0..m: every vertex of
+    the level-j graph loaded by its degree, the interior eliminated.  The
+    cell matrix is the Schur complement that `_refine` returns, the trace
+    Laplacian on V0 with minus the load left there as its ground column.
 
-    The level-j graph is one copy of the level-(j-1) graph per map, glued
-    at cell corners (cells meet only there), so one refinement step takes
-    level j-1 to level j.  Level 0 has no matrix."""
+    Level 0 is the unit complete graph on V0, each corner loaded by its
+    degree k - 1; it has no interpolation matrix.  The level-j graph is
+    one copy of the level-(j-1) graph per map, glued at cell corners
+    (cells meet only there), so one refinement step takes level j-1 to
+    level j."""
     k = len(ifs.boundary)
-    levels = [(unit_complete_network(k), (Fraction(k - 1),) * k, None)]
+    unit = {(i, j): Fraction(1) for i in range(k) for j in range(i + 1, k)}
+    levels = [(_matrix(k, unit, dict.fromkeys(range(k), Fraction(k - 1))), None)]
     for _ in range(m):
-        trace, load, _ = levels[-1]
-        levels.append(_refine(ifs, trace, load, interpolate))
+        levels.append(_refine(ifs, levels[-1][0], interpolate))
     return levels
 
 
@@ -123,7 +126,7 @@ def harmonic_extension(
     # d of cell c is cell c*n + d, the order build_level_graph emits
     cells1 = build_level_graph(ifs, 1).cells
     corners = [[v.numerator * (den // v.denominator) for v in exact]]
-    for _, _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
+    for _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
         scale = math.lcm(*(x.denominator for row in h for x in row))
         rows = [[x.numerator * (scale // x.denominator) for x in row] for row in h]
         den *= scale
@@ -188,7 +191,8 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
 
     Eliminating the level-m interior with each vertex loaded by its
     degree leaves the trace C_m and load l_m on V0; the expected steps
-    are then l_m(start) / sum_b C_m(start, b).
+    are then l_m(start) / sum_b C_m(start, b), the ground entry of the
+    cell matrix over its diagonal (the trace's row sums vanish).
 
     beta_hat = log(last ratio)/log(1/ratio): the time-scaling estimate
     of the walk dimension.
@@ -199,9 +203,8 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
         raise ValueError(f"start must index a boundary vertex (0..{k - 1})")
     _check_level(ifs, m_max)
     rows: list[tuple[int, Fraction]] = []
-    for m, (trace, load, _) in enumerate(_unit_levels(ifs, m_max)):
-        conductance = sum(trace.edge(start, b) for b in range(k) if b != start)
-        rows.append((m, load[start] / conductance))
+    for m, (cell, _) in enumerate(_unit_levels(ifs, m_max)):
+        rows.append((m, -cell[start][k] / cell[start][start]))
     ratios = tuple(
         rows[i][1] / rows[i - 1][1] for i in range(1, len(rows)) if rows[i - 1][1] != 0
     )

@@ -135,13 +135,14 @@ def _reduce_power_pair(
                 cross_r //= g
                 steps.append(f"divide by gcd {g}: {cross_l} vs {cross_r}")
             return cross_l, cross_r, left, right, steps
-        if a >= b and p2 != p1 and p2 / p1 > 1:
+        # a base of 1 cancels nothing
+        if a >= b and p1 != 1 and p2 != p1 and p2 / p1 > 1:
             steps.append(
                 f"cancel ({format_rational(p1)})^{b} from both sides"
             )
             p2 = p2 / p1
             a = a - b
-        elif b >= a and p1 != p2 and p1 / p2 > 1:
+        elif b >= a and p2 != 1 and p1 != p2 and p1 / p2 > 1:
             steps.append(
                 f"cancel ({format_rational(p2)})^{a} from both sides"
             )

@@ -54,15 +54,6 @@ class ConductanceNetwork:
             if not (0 <= b < self.vertex_count):
                 raise ValueError(f"boundary index {b} out of range")
 
-    @property
-    def interior(self) -> tuple[int, ...]:
-        bset = set(self.boundary)
-        return tuple(v for v in range(self.vertex_count) if v not in bset)
-
-    def edge(self, i: int, j: int) -> Conductance:
-        key = (i, j) if i < j else (j, i)
-        return self.conductances.get(key, 0)
-
     def to_json(self) -> dict:
         return {
             "vertex_count": self.vertex_count,
@@ -149,69 +140,43 @@ def _back_substitute(order: list[tuple], values: list) -> list:
     return values
 
 
-def _boundary_trace(
-    rows: list[dict[int, Conductance]], boundary: tuple[int, ...]
-) -> ConductanceNetwork:
-    """The network a Laplacian's Schur complement `rows` leaves on
-    `boundary`, re-indexed to boundary order."""
-    remap = {old: new for new, old in enumerate(boundary)}
-    edges: dict[Edge, Conductance] = {}
-    for old_i, new_i in remap.items():
-        for old_j, x in rows[old_i].items():
-            new_j = remap.get(old_j, -1)
-            if new_i < new_j:
-                edges[(new_i, new_j)] = -x
-    return ConductanceNetwork(len(boundary), edges, tuple(range(len(boundary))))
-
-
-def reduce_boundary(net: ConductanceNetwork) -> ConductanceNetwork:
-    """Eliminate all interior vertices by star-mesh steps, min-degree
-    first: the Schur complement of the weighted Laplacian onto the
-    boundary, which preserves boundary effective resistances exactly.
-    The result is re-indexed to boundary order."""
-    rows = _matrix(net.vertex_count, net.conductances, {})
-    _eliminate(rows, net.interior)
-    return _boundary_trace(rows, net.boundary)
-
-
 def _refine(
-    ifs: IfsSpec,
-    cell_net: ConductanceNetwork,
-    cell_load: tuple[Conductance, ...],
-    interpolate: bool = False,
-) -> tuple[ConductanceNetwork, tuple[Conductance, ...], Optional[tuple[tuple, ...]]]:
-    """One refinement step of a cell problem: one copy of `cell_net` per
-    map, each carrying `cell_load` on its corners, glued at identified
-    level-1 points (parallel edges and loads add), with the level-1
-    interior eliminated once.
+    ifs: IfsSpec, cell: list[dict[int, Conductance]], interpolate: bool = False
+) -> tuple[list[dict[int, Conductance]], Optional[tuple[tuple, ...]]]:
+    """One refinement step of a cell problem.  `cell` is a matrix as
+    `_matrix` builds it on V0 (k vertices, ground index k): one copy is
+    added per map at the map's level-1 points (Laplacians and loads add,
+    as in finite-element assembly) and the level-1 interior is
+    eliminated once.
 
-    Returns the trace on V0, the load left on V0, and, with
-    `interpolate`, the V0 -> V1 harmonic interpolation matrix (one row
-    of k corner weights per level-1 vertex), read by k back-substitutions
-    with ground value 0; None without it."""
+    Returns the Schur complement left on V0 and the ground, re-indexed
+    to boundary order (its ground row's own entry, -l^T L^-1 l, is read
+    by nothing), and, with `interpolate`, the V0 -> V1 harmonic
+    interpolation matrix (one row of k corner weights per level-1
+    vertex), read by k back-substitutions with ground value 0; None
+    without it."""
     g1 = build_level_graph(ifs, 1)
     n = g1.vertex_count
-    edges: dict[Edge, Conductance] = {}
-    load: dict[int, Conductance] = {}
-    for cell in g1.cells:
-        for (a, b), c in cell_net.conductances.items():
-            key = (cell[a], cell[b])
-            edges[key] = edges.get(key, 0) + c
-        for v, x in zip(cell, cell_load):
-            load[v] = load.get(v, 0) + x
-    rows = _matrix(n, edges, load)
+    rows: list[dict[int, Conductance]] = [dict() for _ in range(n + 1)]
+    for corners in g1.cells:
+        place = (*corners, n)
+        for a, row in zip(place, cell):
+            row_a = rows[a]
+            for b, x in row.items():
+                row_a[place[b]] = row_a.get(place[b], 0) + x
     boundary = g1.boundary_indices()
     order = _eliminate(rows, set(range(n)) - set(boundary))
-    left = tuple(-rows[a].get(n, 0) for a in boundary)
+    pos = {old: new for new, old in enumerate((*boundary, n))}
+    nxt = [{pos[b]: x for b, x in rows[a].items() if b in pos} for a in pos]
     if not interpolate:
-        return _boundary_trace(rows, boundary), left, None
+        return nxt, None
     cols = []
     for b in boundary:
         col: list = [None] * n + [0]
         for a in boundary:
             col[a] = Fraction(a == b)
         cols.append(_back_substitute(order, col)[:n])
-    return _boundary_trace(rows, boundary), left, tuple(zip(*cols))
+    return nxt, tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -248,21 +213,20 @@ def renorm_factor(
     ensure_valid(ifs)
     k = len(ifs.boundary)
     c0 = unit_complete_network(k)
-    reduced = _refine(ifs, c0, (0,) * k)[0]
-    values = [reduced.edge(i, j) for i in range(k) for j in range(i + 1, k)]
+    edge_keys = list(c0.conductances)
+    reduced = _refine(ifs, _matrix(k, c0.conductances, {}))[0]
+    values = [-reduced[i].get(j, 0) for i, j in edge_keys]
     if all(isinstance(v, Fraction) for v in values) and len(set(values)) == 1 and values[0] > 0:
         mu = values[0]
         return RenormResult(1 / mu, c0, True, 0)
 
     # float fixed-direction iteration
-    edge_keys = [(i, j) for i in range(k) for j in range(i + 1, k)]
     cur = {e: 1.0 for e in edge_keys}
     mu_prev: Optional[float] = None
     for it in range(1, max_iter + 1):
-        net = ConductanceNetwork(k, dict(cur), tuple(range(k)))
-        nxt = _refine(ifs, net, (0,) * k)[0]
+        nxt = _refine(ifs, _matrix(k, cur, {}))[0]
         total_old = sum(cur.values())
-        nxt_vals = {e: float(nxt.edge(*e)) for e in edge_keys}
+        nxt_vals = {(i, j): float(-nxt[i].get(j, 0)) for i, j in edge_keys}
         total_new = sum(nxt_vals.values())
         if total_new <= 0:
             raise ReductionError("reduction produced an empty boundary network")
@@ -316,10 +280,12 @@ class DimensionReport:
 
 
 def dimension_report_from_constants(
-    name: str, n_maps: int, ratio, energy_scale, exact: bool = True
+    name: str, n_maps: int, ratio, energy_scale
 ) -> DimensionReport:
     """Build the (alpha, gamma, beta) report from declared constants
-    (map count, contraction ratio, renormalization factor)."""
+    (map count, contraction ratio, renormalization factor).  A float
+    energy scale makes the report inexact: gamma and beta are then
+    floats only."""
     rho = as_fraction(ratio)
     if not (0 < rho < 1):
         raise ValueError("ratio must lie in (0,1)")
@@ -327,7 +293,7 @@ def dimension_report_from_constants(
         raise ValueError("need at least 2 maps")
     base = 1 / rho
     alpha = LogRatio(Fraction(n_maps), base)
-    if exact:
+    if not isinstance(energy_scale, float):
         lam = as_fraction(energy_scale)
         gamma = LogRatio(lam, base)
         beta = LogRatio(n_maps * lam, base)
@@ -345,5 +311,5 @@ def walk_dimension(ifs: IfsSpec, max_iter: int = 100, tol: float = 1e-12) -> Dim
     """alpha, gamma = log(r^{-1})/log(1/rho), beta = alpha + gamma."""
     renorm = renorm_factor(ifs, max_iter=max_iter, tol=tol)
     return dimension_report_from_constants(
-        ifs.name, len(ifs.maps), ifs.ratio, renorm.energy_scale, renorm.exact
+        ifs.name, len(ifs.maps), ifs.ratio, renorm.energy_scale
     )

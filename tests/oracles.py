@@ -69,7 +69,7 @@ def harmonic_extension_fractions(ifs, m: int, boundary_values):
     vals = [v if isinstance(v, float) else Fraction(v) for v in boundary_values]
     cells1 = build_level_graph(ifs, 1).cells
     corners = [vals]
-    for _, _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
+    for _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
         children = []
         for cell in corners:
             local = [sum((row[b] * cell[b] for b in range(k)), start=Fraction(0)) for row in h]
@@ -95,19 +95,14 @@ def dense_laplacian(n: int, edges: dict[tuple[int, int], Fraction]):
     return lap
 
 
-def schur_reduce_dense(
-    n: int, edges: dict[tuple[int, int], Fraction], boundary: tuple[int, ...]
-) -> dict[tuple[int, int], Fraction]:
-    """Eliminate interior rows of the Laplacian by dense exact Gaussian
-    elimination; read conductances off the resulting boundary block.
-
-    Returns edges keyed by positions in `boundary`.
-    """
-    lap = dense_laplacian(n, edges)
-    interior = [v for v in range(n) if v not in boundary]
-    order = list(interior) + list(boundary)
-    a = [[lap[r][c] for c in order] for r in order]
-    k = len(interior)
+def schur_dense(mat: list[list[Fraction]], keep) -> list[list[Fraction]]:
+    """The Schur complement of the square matrix `mat` onto the indices
+    `keep`, in that order, by dense exact Gaussian elimination of every
+    other index in index order."""
+    rest = [v for v in range(len(mat)) if v not in keep]
+    order = rest + list(keep)
+    a = [[mat[r][c] for c in order] for r in order]
+    k = len(rest)
     for p in range(k):
         piv = a[p][p]
         assert piv != 0, "interior vertex with no connection"
@@ -117,13 +112,24 @@ def schur_reduce_dense(
             f = a[r][p] / piv
             for c in range(p, len(order)):
                 a[r][c] -= f * a[p][c]
-    out: dict[tuple[int, int], Fraction] = {}
-    for bi in range(len(boundary)):
-        for bj in range(bi + 1, len(boundary)):
-            c = -a[k + bi][k + bj]
-            if c != 0:
-                out[(bi, bj)] = c
-    return out
+    return [row[k:] for row in a[k:]]
+
+
+def schur_reduce_dense(
+    n: int, edges: dict[tuple[int, int], Fraction], boundary: tuple[int, ...]
+) -> dict[tuple[int, int], Fraction]:
+    """Eliminate interior rows of the Laplacian by dense exact Gaussian
+    elimination; read conductances off the resulting boundary block.
+
+    Returns edges keyed by positions in `boundary`.
+    """
+    block = schur_dense(dense_laplacian(n, edges), boundary)
+    return {
+        (bi, bj): -block[bi][bj]
+        for bi in range(len(boundary))
+        for bj in range(bi + 1, len(boundary))
+        if block[bi][bj] != 0
+    }
 
 
 def solve_dense(
@@ -212,7 +218,7 @@ def effective_resistance(net, a: int, b: int) -> Fraction:
     weighted matrix-tree theorem: R = (spanning 2-forests separating
     a,b) / (spanning trees), both as Bareiss determinants of reduced
     integer Laplacians.  No elimination and no linear solve, so it
-    checks both reduce_boundary and effective_resistance_dense.
+    checks both the star-mesh kernel and effective_resistance_dense.
     """
     if a == b:
         raise ValueError("need two distinct vertices")

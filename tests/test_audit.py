@@ -124,9 +124,7 @@ class TestRoutes:
         assert "NOT established" in result.note
 
     def test_inexact_subject_rejected(self):
-        rough = dimension_report_from_constants(
-            "rough", 3, F(1, 2), 1.6667, exact=False
-        )
+        rough = dimension_report_from_constants("rough", 3, F(1, 2), 1.6667)
         with pytest.raises(WalkdimError):
             audit_pair(rough, K1)
 

@@ -539,6 +539,9 @@ def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
     lazy-walk steps).  The two besov-fit files and the pushforward file
     date from the streaming ball sums; they moved from the pair-list
     route's by at most 4e-13 relative, every integer and string equal.
+    The hook harmonic file's two float energy fields date from the
+    renormalization step that glues cell matrices cell by cell; they
+    moved by at most 8.5e-16 relative.
     The three compare files pin the audit JSON and its certificates:
     the README pair, the pair that reduces by cancellation, and a
     verdict by alpha."""

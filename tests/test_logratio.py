@@ -185,6 +185,16 @@ class TestCompare:
         assert c.certificate.render() == "1 != 2"
         assert verify_certificate(c.certificate)
 
+    def test_zero_vs_large_power_cancels_nothing(self):
+        # the cross pair exceeds the certificate limit, but a base of 1
+        # has nothing to cancel
+        zero, big = LogRatio(1, 2), LogRatio(2**41, 2)
+        for x, y, rendered in ((zero, big, "1 != 2199023255552"), (big, zero, "2199023255552 != 1")):
+            cert = x.compare(y).certificate
+            assert cert.render() == rendered
+            assert not any("cancel (1)" in s for s in cert.steps)
+            assert verify_certificate(cert)
+
     def test_rational_values_cross_base(self):
         # decidable even though bases 3 and 2 are incommensurable
         c = LogRatio(9, 3).compare(LogRatio(4, 2))

@@ -11,6 +11,7 @@ from oracles import (
     effective_resistance,
     effective_resistance_dense,
     min_degree_order,
+    schur_dense,
     schur_reduce_dense,
     solve_dense,
 )
@@ -24,7 +25,6 @@ from walkdim.network import (
     _matrix,
     dimension_report_from_constants,
     _refine,
-    reduce_boundary,
     renorm_factor,
     unit_complete_network,
     walk_dimension,
@@ -33,10 +33,24 @@ from walkdim.network import (
 F = Fraction
 
 
+def trace_edges(n, edges, boundary):
+    """The Schur complement of the Laplacian of `edges` onto `boundary`,
+    read off the rows that _matrix and _eliminate leave, as conductances
+    keyed by positions in `boundary`."""
+    rows = _matrix(n, edges, {})
+    _eliminate(rows, set(range(n)) - set(boundary))
+    return {
+        (p, q): -rows[a][b]
+        for p, a in enumerate(boundary)
+        for q, b in enumerate(boundary)
+        if p < q and b in rows[a]
+    }
+
+
 class TestConductanceNetwork:
     def test_parallel_edges_merge(self):
         net = ConductanceNetwork(2, {(0, 1): F(1), (1, 0): F(2)}, (0, 1))
-        assert net.edge(0, 1) == 3
+        assert net.conductances == {(0, 1): 3}
 
     def test_zero_edges_dropped(self):
         net = ConductanceNetwork(3, {(0, 1): F(1), (1, 2): F(0)}, (0, 2))
@@ -54,42 +68,29 @@ class TestConductanceNetwork:
         with pytest.raises(ValueError):
             ConductanceNetwork(2, {(0, 5): F(1)}, (0,))
 
-    def test_interior(self):
-        net = ConductanceNetwork(4, {(0, 1): F(1)}, (0, 3))
-        assert net.interior == (1, 2)
-
 
 class TestReduction:
     def test_series_halves(self):
         # 0 -1- 1 -1- 2 with interior 1: conductance 1/2 end to end
-        net = ConductanceNetwork(3, {(0, 1): F(1), (1, 2): F(1)}, (0, 2))
-        red = reduce_boundary(net)
-        assert red.vertex_count == 2 and red.edge(0, 1) == F(1, 2)
+        assert trace_edges(3, {(0, 1): F(1), (1, 2): F(1)}, (0, 2)) == {(0, 1): F(1, 2)}
 
     def test_star_to_triangle(self):
         # unit 3-star: Y-Delta gives 1/3 on each triangle edge
-        net = ConductanceNetwork(
-            4, {(0, 3): F(1), (1, 3): F(1), (2, 3): F(1)}, (0, 1, 2)
-        )
-        red = reduce_boundary(net)
-        assert all(red.edge(i, j) == F(1, 3) for i, j in [(0, 1), (0, 2), (1, 2)])
-
-    def test_boundary_relabeled_in_order(self):
-        net = ConductanceNetwork(3, {(0, 1): F(1), (1, 2): F(1)}, (2, 0))
-        red = reduce_boundary(net)
-        # boundary order (2, 0) becomes indices (0, 1)
-        assert red.boundary == (0, 1)
-        assert red.edge(0, 1) == F(1, 2)
+        star = {(0, 3): F(1), (1, 3): F(1), (2, 3): F(1)}
+        assert trace_edges(4, star, (0, 1, 2)) == {
+            (0, 1): F(1, 3), (0, 2): F(1, 3), (1, 2): F(1, 3)
+        }
 
     def test_dangling_interior_rejected(self):
-        net = ConductanceNetwork(3, {(0, 1): F(1)}, (0, 1))
         with pytest.raises(ReductionError):
-            reduce_boundary(net)
+            _eliminate(_matrix(3, {(0, 1): F(1)}, {}), {2})
 
     def test_no_interior_is_identity(self):
-        net = unit_complete_network(3)
-        red = reduce_boundary(net)
-        assert red.conductances == net.conductances
+        edges = unit_complete_network(3).conductances
+        rows = _matrix(3, edges, {})
+        assert _eliminate(rows, set()) == []
+        assert rows == _matrix(3, edges, {})
+        assert trace_edges(3, edges, (0, 1, 2)) == edges
 
     @pytest.mark.parametrize("system, level", [("sg", 4), ("sg", 5), ("hook", 3)])
     def test_pivot_order_is_min_degree(self, request, system, level):
@@ -135,11 +136,7 @@ class TestElectricalEquivalence:
     def test_star_mesh_matches_dense_schur(self, net_data):
         n, edges = net_data
         boundary = (0, n - 1)
-        net = ConductanceNetwork(n, dict(edges), boundary)
-        red = reduce_boundary(net)
-        oracle = schur_reduce_dense(n, edges, boundary)
-        got = {e: c for e, c in red.conductances.items()}
-        assert got == oracle
+        assert trace_edges(n, edges, boundary) == schur_reduce_dense(n, edges, boundary)
 
     @settings(max_examples=60, deadline=None)
     @given(networks)
@@ -155,7 +152,7 @@ class TestElectricalEquivalence:
     def test_reduction_preserves_resistance(self, net_data):
         n, edges = net_data
         net = ConductanceNetwork(n, dict(edges), (0, n - 1))
-        red = reduce_boundary(net)
+        red = ConductanceNetwork(2, trace_edges(n, edges, (0, n - 1)), (0, 1))
         assert effective_resistance(net, 0, n - 1) == effective_resistance(
             red, 0, 1
         )
@@ -179,12 +176,12 @@ class TestEffectiveResistance:
             effective_resistance(net, 0, 3)
 
 
-def glue(ifs, cell_net, cell_load):
+def glue(ifs, cell_edges, cell_load):
     """The level-1 network and loads, one copy of the cell per map."""
     g1 = build_level_graph(ifs, 1)
     edges, load = {}, [F(0)] * g1.vertex_count
     for cell in g1.cells:
-        for (a, b), c in cell_net.conductances.items():
+        for (a, b), c in cell_edges.items():
             key = tuple(sorted((cell[a], cell[b])))
             edges[key] = edges.get(key, 0) + c
         for v, x in zip(cell, cell_load):
@@ -194,14 +191,14 @@ def glue(ifs, cell_net, cell_load):
 
 class TestReplicate:
     def test_sg_one_level(self, sg):
-        g1, edges, _ = glue(sg, unit_complete_network(3), (F(0),) * 3)
+        g1, edges, _ = glue(sg, unit_complete_network(3).conductances, (F(0),) * 3)
         assert g1.vertex_count == 6
         assert len(edges) == 9
         assert len(g1.boundary_indices()) == 3
 
     def test_conductances_add_on_shared_edges(self, sg):
         # no two sg cells share an edge, so every conductance stays 1
-        _, edges, _ = glue(sg, unit_complete_network(3), (F(0),) * 3)
+        _, edges, _ = glue(sg, unit_complete_network(3).conductances, (F(0),) * 3)
         assert set(edges.values()) == {F(1)}
 
 
@@ -212,30 +209,66 @@ class TestRefine:
         ifs = request.getfixturevalue(name)
         rng = random.Random(seed)
         k = len(ifs.boundary)
-        cell_net = ConductanceNetwork(
-            k,
-            {(i, j): F(rng.randint(1, 9), rng.randint(1, 9)) for i in range(k) for j in range(i + 1, k)},
-            tuple(range(k)),
-        )
+        cell_edges = {
+            (i, j): F(rng.randint(1, 9), rng.randint(1, 9)) for i in range(k) for j in range(i + 1, k)
+        }
         cell_load = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k))
-        trace, left, interp = _refine(ifs, cell_net, cell_load, interpolate=True)
-        assert _refine(ifs, cell_net, cell_load) == (trace, left, None)
+        cell = _matrix(k, cell_edges, dict(enumerate(cell_load)))
+        nxt, interp = _refine(ifs, cell, interpolate=True)
+        assert cell == _matrix(k, cell_edges, dict(enumerate(cell_load)))
+        assert _refine(ifs, cell) == (nxt, None)
+        assert len(nxt) == k + 1
+        assert all(nxt[b][a] == x for a in range(k + 1) for b, x in nxt[a].items())
 
-        g1, edges, load = glue(ifs, cell_net, cell_load)
+        g1, edges, load = glue(ifs, cell_edges, cell_load)
         bidx = g1.boundary_indices()
-        assert trace.conductances == schur_reduce_dense(g1.vertex_count, edges, bidx)
+        off = {(a, b): -nxt[a][b] for a in range(k) for b in range(a + 1, k) if b in nxt[a]}
+        assert off == schur_reduce_dense(g1.vertex_count, edges, bidx)
+        for a in range(k):
+            assert nxt[a][a] == -sum(x for b, x in nxt[a].items() if b not in (a, k))
         lap = dense_laplacian(g1.vertex_count, edges)
         # u solves L u = l inside with u = 0 on V0
         u = solve_dense(lap, load, {b: F(0) for b in bidx})
-        # the load left on b is l_b + sum over the interior of c_bv u_v
-        assert left == tuple(
+        # the load left on b is l_b + sum over the interior of c_bv u_v,
+        # and the ground column holds minus it
+        assert [-nxt[a][k] for a in range(k)] == [
             load[b] + sum(-lap[b][v] * u[v] for v in range(g1.vertex_count) if v not in bidx)
             for b in bidx
-        )
+        ]
         # column a of the interpolation matrix is the harmonic extension of e_a
         for a, col in enumerate(zip(*interp)):
             fixed = {b: F(a == pos) for pos, b in enumerate(bidx)}
             assert list(col) == solve_dense(lap, [F(0)] * g1.vertex_count, fixed)
+
+
+    @pytest.mark.parametrize("name", ["sg", "segment", "hook"])
+    def test_general_cell_matches_dense_schur(self, request, name):
+        # a loaded cell whose diagonal exceeds its row sums (a mass term),
+        # so nothing may lean on row sums: the next cell is the dense Schur
+        # complement of the level-1 matrix that adds one copy per map, its
+        # ground row's own entry included
+        ifs = request.getfixturevalue(name)
+        rng = random.Random(7)
+        k = len(ifs.boundary)
+
+        def draw():
+            return F(rng.randint(1, 9), rng.randint(1, 9))
+
+        edges = {(i, j): draw() for i in range(k) for j in range(i + 1, k)}
+        cell = _matrix(k, edges, {a: draw() for a in range(k)})
+        for a in range(k):
+            cell[a][a] += draw()
+        g1 = build_level_graph(ifs, 1)
+        n = g1.vertex_count
+        dense = [[F(0)] * (n + 1) for _ in range(n + 1)]
+        for corners in g1.cells:
+            place = (*corners, n)
+            for a in range(k + 1):
+                for b in range(k + 1):
+                    dense[place[a]][place[b]] += cell[a].get(b, 0)
+        expected = schur_dense(dense, (*g1.boundary_indices(), n))
+        nxt, _ = _refine(ifs, cell)
+        assert [[nxt[a].get(b, 0) for b in range(k + 1)] for a in range(k + 1)] == expected
 
 
 class TestRenorm:
@@ -265,14 +298,17 @@ class TestRenorm:
         # s = (sqrt(33) - 3)/2
         res = renorm_factor(hook)
         assert res.exact is False and res.iterations == 33
+        # pinned by accuracy, not by bits: lambda = (27 + sqrt(33))/12
+        assert res.energy_scale == pytest.approx((27 + math.sqrt(33)) / 12, rel=1e-12)
         fixed = res.fixed_network.conductances
         assert sum(fixed.values()) == pytest.approx(3, abs=1e-12)
         s = (math.sqrt(33) - 3) / 2
         assert sum(abs(c - s) <= 1e-12 for c in fixed.values()) == 2
         mu = 1 / res.energy_scale
-        reduced = _refine(hook, res.fixed_network, (0, 0, 0))[0]
-        for e, c in fixed.items():
-            assert reduced.edge(*e) == pytest.approx(mu * c, rel=1e-10)
+        reduced, _ = _refine(hook, _matrix(3, fixed, {}))
+        assert len(reduced) == 4 and not reduced[3]
+        for (i, j), c in fixed.items():
+            assert -reduced[i][j] == pytest.approx(mu * c, rel=1e-10)
 
 
 class TestWalkDimension:
@@ -307,6 +343,11 @@ class TestWalkDimension:
         assert k3.beta == LogRatio(F(4425, 7), 16)
         assert k2.beta_float == pytest.approx(2.327392907637585, abs=1e-12)
         assert k3.beta_float == pytest.approx(2.3260267044500296, abs=1e-12)
+
+    def test_float_energy_scale_is_inexact(self):
+        rep = dimension_report_from_constants("rough", 3, F(1, 2), 1.6667)
+        assert rep.exact is False and rep.gamma is None and rep.beta is None
+        assert rep.beta_float == pytest.approx(math.log2(3 * 1.6667), abs=1e-12)
 
     def test_constants_validation(self):
         with pytest.raises(ValueError):
