@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import WalkdimError
@@ -24,7 +23,7 @@ from .network import (
     dimension_report_from_constants,
     walk_dimension,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, json_number, parse_rational
 
 DISTINCT_BY_ALPHA = "DISTINCT_BY_ALPHA"
 DISTINCT_BY_BETA = "DISTINCT_BY_BETA"
@@ -52,41 +51,28 @@ def verify_certificate(cert: PowerCertificate) -> bool:
     return (left > right) == (cert.left_integer > cert.right_integer)
 
 
-def _coerce(value) -> Union[int, Fraction]:
-    if isinstance(value, str):
-        return parse_rational(value)
-    return value
-
-
-def as_dimension_report(subject: Subject, name: Optional[str] = None) -> DimensionReport:
+def as_dimension_report(subject: Subject) -> DimensionReport:
     """Normalize an audit subject to a dimension report.
 
     Geometric systems run through renormalization; 3-sequences are read
     as (map count, contraction ratio, energy scale) for systems whose
-    geometry is supplied externally.
+    geometry is supplied externally, and named after the constants.
     """
     if isinstance(subject, DimensionReport):
-        report = subject
-    elif isinstance(subject, IfsSpec):
-        report = walk_dimension(subject)
-    elif isinstance(subject, Sequence) and not isinstance(subject, (str, bytes)):
-        if len(subject) != 3:
-            raise ValueError(
-                "constants must be (map_count, ratio, energy_scale)"
-            )
-        n_raw, ratio, scale = (_coerce(v) for v in subject)
-        n = int(n_raw)
-        if n != n_raw:
-            raise ValueError("map count must be an integer")
-        label = name or (
-            f"constants({n},{format_rational(ratio)},{format_rational(scale)})"
-        )
-        return dimension_report_from_constants(label, n, ratio, scale)
-    else:
+        return subject
+    if isinstance(subject, IfsSpec):
+        return walk_dimension(subject)
+    if not isinstance(subject, Sequence) or isinstance(subject, (str, bytes)):
         raise TypeError(f"cannot audit subject of type {type(subject).__name__}")
-    if name is not None and name != report.name:
-        report = dataclasses.replace(report, name=name)
-    return report
+    if len(subject) != 3:
+        raise ValueError("constants must be (map_count, ratio, energy_scale)")
+    report = dimension_report_from_constants("", *subject)
+    alpha = report.alpha
+    label = (
+        f"constants({format_rational(alpha.argument)},"
+        f"{format_rational(1 / alpha.base)},{json_number(report.energy_scale)})"
+    )
+    return dataclasses.replace(report, name=label)
 
 
 def _comparison_json(cmp: Comparison) -> dict:
@@ -156,12 +142,7 @@ class AuditVerdict:
         }
 
 
-def audit_pair(
-    a: Subject,
-    b: Subject,
-    name_a: Optional[str] = None,
-    name_b: Optional[str] = None,
-) -> AuditVerdict:
+def audit_pair(a: Subject, b: Subject) -> AuditVerdict:
     """Compare two systems by (alpha, beta) and render a verdict.
 
     Alpha separates first; otherwise beta, which then has to be exact
@@ -171,8 +152,8 @@ def audit_pair(
     verdict has to be proof-grade.  Anything resting on float
     comparison alone is INCONCLUSIVE.
     """
-    ra = as_dimension_report(a, name_a)
-    rb = as_dimension_report(b, name_b)
+    ra = as_dimension_report(a)
+    rb = as_dimension_report(b)
     ca = ra.alpha.compare(rb.alpha)
     by_alpha = ca.relation is Relation.DISTINCT and ca.route == "exact"
     inexact = [rep.name for rep in (ra, rb) if rep.beta is None]

@@ -28,7 +28,7 @@ from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
 from .ifs import IfsSpec, MeasureSample, hausdorff_dim
 from .levelgraph import LevelGraph, _float_measure_weights
-from .rational import as_fraction, format_rational
+from .rational import as_fraction, as_point, format_rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -364,8 +364,9 @@ def alfors_check(
     bounded by the pair-scan limit instead.  The two-sided constant
     bounds the ratio above and below; the drift (largest-to-smallest
     mean ratio across scales) flags a misspecified exponent, which bends
-    the ratios geometrically in r.  r_grid (default 2^-j, 1 <= j <= 6):
-    see the module docstring for when its open balls are exact.
+    the ratios geometrically in r.  r_grid (default dyadic_grid(1, 6),
+    radii in (0,1)): see the module docstring for when its open balls
+    are exact.
     """
     import numpy as np
     from scipy.spatial import cKDTree
@@ -373,11 +374,7 @@ def alfors_check(
     if max_centers < 1:
         raise ValueError("max_centers must be >= 1")
     pts, w = _cloud(source)
-    radii = tuple(r_grid) if r_grid is not None else tuple(2.0 ** -j for j in range(1, 7))
-    if not radii:
-        raise ValueError("empty radius grid")
-    if not all(0 < r for r in radii):
-        raise ValueError("radii must be positive")
+    radii = _radius_grid(dyadic_grid(1, 6) if r_grid is None else r_grid)
     uniform = np.allclose(w, w[0])
     if uniform:
         tree = cKDTree(pts)
@@ -425,11 +422,9 @@ class LipschitzMap:
     translation: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        s = as_fraction(self.scale)
-        tx, ty = self.translation
-        object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "translation", (as_fraction(tx), as_fraction(ty)))
-        if s <= 0:
+        object.__setattr__(self, "scale", as_fraction(self.scale))
+        object.__setattr__(self, "translation", as_point(self.translation))
+        if self.scale <= 0:
             raise ValueError("scale must be positive (invertible, orientation-true)")
 
     @property

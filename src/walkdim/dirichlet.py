@@ -205,13 +205,12 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
     rows: list[tuple[int, Fraction]] = []
     for m, (cell, _) in enumerate(_unit_levels(ifs, m_max)):
         rows.append((m, -cell[start][k] / cell[start][start]))
-    ratios = tuple(
-        rows[i][1] / rows[i - 1][1] for i in range(1, len(rows)) if rows[i - 1][1] != 0
-    )
+    # every level's exit time is at least one step, so no ratio divides by 0
+    ratios = tuple(rows[i][1] / rows[i - 1][1] for i in range(1, len(rows)))
     time_scale = ratios[-1] if ratios else None
     beta_hat = (
         math.log(float(time_scale)) / math.log(float(1 / ifs.ratio))
-        if time_scale is not None and time_scale > 0
+        if time_scale is not None
         else None
     )
     return ExitTimeReport(start, tuple(rows), ratios, time_scale, beta_hat)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from ._geometry import Point, convex_hull, hull_intersection
 from .errors import ValidationError
 from .logratio import LogRatio
-from .rational import as_fraction, format_rational
+from .rational import as_fraction, as_point, format_rational
 
 # Boundary points are accepted when fixed by some composition of at most
 # this many maps; covers every shipped preset at length 1.
@@ -36,12 +36,8 @@ class Similitude:
     translation: Point
 
     def __post_init__(self):
-        ratio = as_fraction(self.ratio)
-        tx, ty = self.translation
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(
-            self, "translation", (as_fraction(tx), as_fraction(ty))
-        )
+        object.__setattr__(self, "ratio", as_fraction(self.ratio))
+        object.__setattr__(self, "translation", as_point(self.translation))
         if not (0 < self.ratio < 1):
             raise ValueError("similitude ratio must lie in (0, 1)")
 
@@ -83,11 +79,7 @@ class IfsSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
-        object.__setattr__(
-            self,
-            "boundary",
-            tuple((as_fraction(x), as_fraction(y)) for x, y in self.boundary),
-        )
+        object.__setattr__(self, "boundary", tuple(map(as_point, self.boundary)))
 
     @property
     def ratio(self) -> Fraction:
@@ -105,17 +97,8 @@ class IfsSpec:
 
     @staticmethod
     def from_json(data: dict) -> "IfsSpec":
-        maps = tuple(
-            Similitude(
-                as_fraction(m["ratio"]),
-                (as_fraction(m["translate"][0]), as_fraction(m["translate"][1])),
-            )
-            for m in data["maps"]
-        )
-        boundary = tuple(
-            (as_fraction(p[0]), as_fraction(p[1])) for p in data["boundary"]
-        )
-        return IfsSpec(str(data.get("name", "unnamed")), maps, boundary)
+        maps = tuple(Similitude(m["ratio"], m["translate"]) for m in data["maps"])
+        return IfsSpec(str(data.get("name", "unnamed")), maps, data["boundary"])
 
 
 @dataclass(frozen=True)

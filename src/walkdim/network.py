@@ -283,20 +283,23 @@ def dimension_report_from_constants(
     name: str, n_maps: int, ratio, energy_scale
 ) -> DimensionReport:
     """Build the (alpha, gamma, beta) report from declared constants
-    (map count, contraction ratio, renormalization factor).  A float
-    energy scale makes the report inexact: gamma and beta are then
-    floats only."""
+    (map count, contraction ratio, renormalization factor), each an int,
+    Fraction or "p/q" string.  A float energy scale makes the report
+    inexact: gamma and beta are then floats only."""
+    n = as_fraction(n_maps)
+    if n.denominator != 1:
+        raise ValueError("map count must be an integer")
+    if n < 2:
+        raise ValueError("need at least 2 maps")
     rho = as_fraction(ratio)
     if not (0 < rho < 1):
         raise ValueError("ratio must lie in (0,1)")
-    if n_maps < 2:
-        raise ValueError("need at least 2 maps")
     base = 1 / rho
-    alpha = LogRatio(Fraction(n_maps), base)
+    alpha = LogRatio(n, base)
     if not isinstance(energy_scale, float):
         lam = as_fraction(energy_scale)
         gamma = LogRatio(lam, base)
-        beta = LogRatio(n_maps * lam, base)
+        beta = LogRatio(n * lam, base)
         return DimensionReport(
             name, alpha, lam, True, gamma, beta, gamma.value, beta.value
         )

@@ -32,6 +32,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
+def as_point(value) -> tuple[Fraction, Fraction]:
+    """Coerce a pair of rational-likes to two Fractions; a string is one coordinate."""
+    coords = (value,) if isinstance(value, str) else tuple(value)
+    if len(coords) != 2:
+        raise ValueError(f"a point needs two coordinates, got {len(coords)}")
+    return (as_fraction(coords[0]), as_fraction(coords[1]))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction.
 

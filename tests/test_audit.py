@@ -141,22 +141,21 @@ class TestRoutes:
         assert payload["beta"][1]["exact_rational"] == "2"
         assert payload["beta_comparison"] is None
 
-    def test_custom_names(self):
-        result = audit_pair(K1, K2, name_a="first", name_b="second")
-        assert result.names == ("first", "second")
-        assert result.render().startswith("first vs second:")
+    def test_float_scale_triple_separates_by_alpha(self):
+        # a float energy scale makes the triple inexact; its alpha
+        # log3/log2 against 1 still separates the pair exactly
+        result = audit_pair((3, F(1, 2), 1.6667), (2, F(1, 2), 2))
+        assert result.verdict == DISTINCT_BY_ALPHA
+        assert result.certificate.render() == "3 != 2"
+        assert result.names == ("constants(3,1/2,1.6667)", "constants(2,1/2,2)")
+        with pytest.raises(WalkdimError):
+            audit_pair((3, F(1, 2), 1.6667), K1)
 
 
 class TestSubjectNormalization:
     def test_report_passthrough(self):
         rep = dimension_report_from_constants("x", 3, F(1, 2), F(5, 3))
         assert as_dimension_report(rep) is rep
-
-    def test_report_rename(self):
-        rep = dimension_report_from_constants("x", 3, F(1, 2), F(5, 3))
-        renamed = as_dimension_report(rep, name="y")
-        assert renamed.name == "y"
-        assert renamed.beta == rep.beta
 
     def test_constants_default_label(self):
         rep = as_dimension_report((3, F(1, 2), F(5, 3)))

@@ -412,6 +412,8 @@ class TestAlfors:
             alfors_check(g, ALPHA, r_grid=[])
         with pytest.raises(ValueError):
             alfors_check(g, ALPHA, r_grid=[-0.5])
+        with pytest.raises(ValueError, match=r"radii must lie in \(0,1\)"):
+            alfors_check(g, ALPHA, r_grid=[1.5])
 
     @pytest.mark.parametrize("max_centers", [0, -1, -400])
     def test_max_centers_must_be_positive(self, sg, max_centers):

@@ -388,6 +388,28 @@ class TestErrorPaths:
         assert payload["exact"] is False
         assert payload["iterations"] == 191
 
+    @pytest.mark.parametrize(
+        "where, point, count",
+        [
+            ("translate", ["1/2"], 1),
+            ("boundary", ["1"], 1),
+            ("translate", ["1/2", "0", "0"], 3),
+        ],
+        ids=["translate-1", "boundary-1", "translate-3"],
+    )
+    def test_malformed_point_is_config_error(self, capsys, tmp_path, where, point, count):
+        config = json.loads(json.dumps(SLOW_GRID))
+        if where == "translate":
+            config["maps"][1]["translate"] = point
+        else:
+            config["boundary"][1] = point
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(config))
+        rc, payload = run(capsys, "validate", str(path))
+        assert rc == 2
+        assert payload["error"] == "config"
+        assert f"a point needs two coordinates, got {count}" in payload["detail"]
+
     def test_missing_file(self, capsys):
         rc, payload = run(capsys, "dim", "nonexistent.json")
         assert rc == 2

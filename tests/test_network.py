@@ -354,3 +354,7 @@ class TestWalkDimension:
             dimension_report_from_constants("bad", 1, F(1, 2), F(5, 3))
         with pytest.raises(ValueError):
             dimension_report_from_constants("bad", 3, F(3, 2), F(5, 3))
+        rep = dimension_report_from_constants("text", "3", F(1, 2), F(5, 3))
+        assert rep.alpha == LogRatio(F(3), F(2))
+        with pytest.raises(ValueError, match="integer"):
+            dimension_report_from_constants("bad", "7/2", F(1, 2), F(5, 3))

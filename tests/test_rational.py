@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from walkdim.rational import (
     as_fraction,
+    as_point,
     format_rational,
     inth_root,
     parse_rational,
@@ -30,6 +31,22 @@ class TestAsFraction:
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             as_fraction(True)
+
+
+class TestAsPoint:
+    def test_mixed_pair(self):
+        assert as_point(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
+
+    @pytest.mark.parametrize(
+        "value,count", [(["1"], 1), ("1/2", 1), ([], 0), (("0", "1", "2"), 3)]
+    )
+    def test_refuses_other_lengths(self, value, count):
+        with pytest.raises(ValueError, match=f"two coordinates, got {count}"):
+            as_point(value)
+
+    def test_rejects_float_coordinate(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            as_point([0.5, "0"])
 
 
 class TestParseRational:
