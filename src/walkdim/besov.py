@@ -11,10 +11,12 @@ block into per-point sums for each radius's open balls, nested from the
 largest ball inward; no pair outlives its block.
 The pushforward audit makes one such scan per cloud.
 
-The float open-ball test d^2 < r^2 is exact when no lattice distance
-lies within rounding of r: always for dyadic coordinates and radii, and
-for dyadic radii on the hook's 3^-m lattice; but there a custom radius
-1/3 counts some pairs at distance exactly 1/3 as inside.
+_ball_sums's float open-ball test d^2 < r^2 is exact when no lattice
+distance lies within rounding of r: always for dyadic coordinates and
+radii, and for dyadic radii on the hook's 3^-m lattice; but there a
+custom radius 1/3 counts some pairs at distance exactly 1/3 as inside.
+The regularity counts of alfors_check on a measure sample are decided
+on the integer numerators instead, exact at any radius.
 """
 
 from __future__ import annotations
@@ -347,6 +349,61 @@ class AlforsReport:
 
 DRIFT_THRESHOLD = 4.0
 MAX_ALFORS_CENTERS = 20000
+# Largest lattice denominator D of a uniform regularity count.  With
+# r < 1 the squared numerator distances that decide a ball stay below
+# D^2 <= 2^50, where they are exact floats and the query radius
+# sqrt(L + 1/2), squared, lies within 3/8 of L + 1/2.
+MAX_BALL_DENOMINATOR = 2 ** 25
+
+
+def _open_ball_radius(r: float, den: int) -> float:
+    """The query radius whose closed ball on integer numerators over den
+    is the open ball of radius r (its exact value): sqrt(L + 1/2), with
+    d^2 < r^2*den^2 iff d^2 <= L = ceil(r^2*den^2) - 1."""
+    bound = Fraction(r) ** 2 * den ** 2
+    return math.sqrt(-(-bound.numerator // bound.denominator) - 1 + 0.5)
+
+
+def _regularity_volumes(
+    source: PointSource, radii: tuple, max_centers: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(center weights, per radius the ball volumes at the centers),
+    computed once per (radii, centers) and kept in source.ball_volumes.
+
+    A measure sample counts with a k-d tree on its integer numerators at
+    an evenly strided subset of at most max_centers centers, exactly at
+    any radius; a level graph sums the weights of every vertex's ball
+    with _ball_sums."""
+    import numpy as np
+
+    uniform = isinstance(source, MeasureSample)
+    if not uniform and not isinstance(source, LevelGraph):
+        raise TypeError("point source must be a LevelGraph or MeasureSample")
+    n = len(source.numerators)
+    centers = range(0, n, max(1, n // max_centers))[:max_centers] if uniform else range(n)
+    key = (radii, centers)
+    if key in source.ball_volumes:
+        return source.ball_volumes[key]
+    if uniform:
+        from scipy.spatial import cKDTree
+
+        den = source.denominator
+        if den > MAX_BALL_DENOMINATOR:
+            remedy = "lower the sampling depth (fixed limit besov.MAX_BALL_DENOMINATOR)"
+            raise BudgetExceeded(den, MAX_BALL_DENOMINATOR, "lattice denominator", remedy)
+        coords = np.array(source.numerators, dtype=float)
+        tree = cKDTree(coords)
+        volumes = tuple(
+            tree.query_ball_point(coords[centers], _open_ball_radius(r, den), return_length=True)
+            * (1.0 / n)
+            for r in radii
+        )
+        center_w = np.full(len(centers), 1.0 / len(centers))
+    else:
+        pts, center_w = _cloud(source)
+        volumes = tuple(volume for volume, _, _, _ in _ball_sums(pts, center_w, radii))
+    source.ball_volumes[key] = center_w, volumes
+    return center_w, volumes
 
 
 def alfors_check(
@@ -365,32 +422,18 @@ def alfors_check(
     bounds the ratio above and below; the drift (largest-to-smallest
     mean ratio across scales) flags a misspecified exponent, which bends
     the ratios geometrically in r.  r_grid (default dyadic_grid(1, 6),
-    radii in (0,1)): see the module docstring for when its open balls
-    are exact.
+    radii in (0,1)): a sample's open balls are exact at any radius, with
+    its lattice denominator at most MAX_BALL_DENOMINATOR (BudgetExceeded
+    otherwise); a level graph's have the float limit of the module
+    docstring.  The volumes do not depend on alpha and are counted once
+    per (radii, centers) on each source object.
     """
     import numpy as np
-    from scipy.spatial import cKDTree
 
     if max_centers < 1:
         raise ValueError("max_centers must be >= 1")
-    pts, w = _cloud(source)
-    radii = _radius_grid(dyadic_grid(1, 6) if r_grid is None else r_grid)
-    uniform = np.allclose(w, w[0])
-    if uniform:
-        tree = cKDTree(pts)
-        stride = max(1, len(pts) // max_centers)
-        centers = np.arange(0, len(pts), stride)[:max_centers]
-        center_w = np.full(len(centers), 1.0 / len(centers))
-        # open ball: shrink the query radius to just below r; exact
-        # when no lattice distance lies within rounding of r
-        volumes_by_radius = (
-            tree.query_ball_point(pts[centers], np.nextafter(r, 0.0), return_length=True)
-            * w[0]
-            for r in radii
-        )
-    else:
-        center_w = w
-        volumes_by_radius = (volume for volume, _, _, _ in _ball_sums(pts, w, radii))
+    radii = tuple(map(float, _radius_grid(dyadic_grid(1, 6) if r_grid is None else r_grid)))
+    center_w, volumes_by_radius = _regularity_volumes(source, radii, max_centers)
     rows: list[AlforsRow] = []
     for r, volumes in zip(radii, volumes_by_radius):
         ratios = volumes / (r ** alpha)

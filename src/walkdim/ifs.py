@@ -302,6 +302,12 @@ class LatticePoints:
         den = self.denominator
         return tuple((Fraction(ax, den), Fraction(ay, den)) for ax, ay in self.numerators)
 
+    @functools.cached_property
+    def ball_volumes(self) -> dict:
+        """Regularity ball volumes, filled by besov.alfors_check and kept
+        with this object alone: an equal object counts its own."""
+        return {}
+
     def float_points(self, scale: Fraction = Fraction(1), shift: Point = (0, 0)):
         """The points scale*v + shift of the points v as an (n, 2) float
         array.  With scale = s_n/s_d, a coordinate a/D and a shift t_n/t_d,

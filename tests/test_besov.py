@@ -17,6 +17,7 @@ from oracles import (
 from walkdim import besov
 from walkdim.besov import (
     DRIFT_THRESHOLD,
+    AlforsRow,
     LipschitzMap,
     _ball_sums,
     _cloud,
@@ -401,9 +402,9 @@ class TestAlfors:
             assert row.ratio_min <= row.ratio_mean <= row.ratio_max
 
     def test_determinism(self, sg):
-        s = sample_measure(sg, 10, 2000)
-        a = alfors_check(s, ALPHA)
-        b = alfors_check(s, ALPHA)
+        # two samples drawn apart, so neither call reads the other's counts
+        a = alfors_check(sample_measure(sg, 10, 2000), ALPHA)
+        b = alfors_check(sample_measure(sg, 10, 2000), ALPHA)
         assert a == b
 
     def test_radius_validation(self, sg):
@@ -414,12 +415,30 @@ class TestAlfors:
             alfors_check(g, ALPHA, r_grid=[-0.5])
         with pytest.raises(ValueError, match=r"radii must lie in \(0,1\)"):
             alfors_check(g, ALPHA, r_grid=[1.5])
+        with pytest.raises(TypeError):
+            alfors_check([(0, 0), (1, 1)], ALPHA)
 
     @pytest.mark.parametrize("max_centers", [0, -1, -400])
     def test_max_centers_must_be_positive(self, sg, max_centers):
         s = sample_measure(sg, 10, 500)
         with pytest.raises(ValueError, match="max_centers"):
             alfors_check(s, ALPHA, max_centers=max_centers)
+
+    def test_sg_dyadic_rows_match_float_route(self, sg):
+        # dyadic radii on dyadic coordinates: the float open-ball query
+        # is exact, so the integer route must agree to the last bit
+        from scipy.spatial import cKDTree
+
+        s = sample_measure(sg, 12, 6000, seed=11)
+        pts = s.float_points()
+        tree, n = cKDTree(pts), len(pts)
+        rows = []
+        for r in dyadic_grid(1, 6):
+            counts = tree.query_ball_point(pts, np.nextafter(r, 0.0), return_length=True)
+            ratios = counts * (1.0 / n) / r ** ALPHA
+            mean = np.sum(np.full(n, 1.0 / n) * ratios)
+            rows.append(AlforsRow(r, float(ratios.min()), float(ratios.max()), float(mean)))
+        assert alfors_check(s, ALPHA).rows == tuple(rows)
 
     def test_volumes_match_brute_oracle(self, sg):
         g = build_level_graph(sg, 3)
@@ -434,6 +453,109 @@ class TestAlfors:
         assert rep.rows[0].ratio_mean == pytest.approx(
             float(np.sum(w * ratios)), rel=1e-12
         )
+
+
+@pytest.fixture
+def tree_log(monkeypatch):
+    """("build", n) and ("query", r) for every k-d tree that alfors_check
+    builds and queries, in order."""
+    import scipy.spatial
+
+    log = []
+
+    class SpyTree(scipy.spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            log.append(("build", len(data)))
+            super().__init__(data, *args, **kwargs)
+
+        def query_ball_point(self, x, r, *args, **kwargs):
+            log.append(("query", r))
+            return super().query_ball_point(x, r, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
+    return log
+
+
+@pytest.fixture
+def scan_log(monkeypatch):
+    """The radii of every _ball_sums scan, in order."""
+    log = []
+    ball_sums = besov._ball_sums
+
+    def spy(points, w, radii, vals=None):
+        log.append(tuple(radii))
+        return ball_sums(points, w, radii, vals)
+
+    monkeypatch.setattr(besov, "_ball_sums", spy)
+    return log
+
+
+class TestAlforsMemo:
+    """Ball volumes do not depend on alpha: each source object counts
+    them once per (radii, centers)."""
+
+    def test_sample_second_alpha_queries_nothing(self, sg, tree_log):
+        s = sample_measure(sg, 10, 2000, seed=7)
+        alfors_check(s, ALPHA)
+        assert [what for what, _ in tree_log] == ["build"] + ["query"] * 6
+        again = alfors_check(s, 1.0)
+        assert len(tree_log) == 7
+        fresh = alfors_check(sample_measure(sg, 10, 2000, seed=7), 1.0)
+        assert again == fresh
+
+    def test_graph_second_alpha_scans_nothing(self, sg, scan_log):
+        g = build_level_graph(sg, 4)
+        alfors_check(g, ALPHA)
+        again = alfors_check(g, 1.0)
+        assert scan_log == [dyadic_grid(1, 6)]
+        fresh = alfors_check(build_level_graph(sg, 4), 1.0)
+        assert again == fresh
+
+    def test_sample_new_grid_or_centers_queries_again(self, sg, tree_log):
+        s = sample_measure(sg, 10, 2000, seed=7)
+        for _ in range(2):
+            alfors_check(s, ALPHA)
+            alfors_check(s, ALPHA, r_grid=[0.5, 0.1])
+            alfors_check(s, ALPHA, max_centers=100)
+        queries = [r for what, r in tree_log if what == "query"]
+        assert len(queries) == 6 + 2 + 6
+        assert len(s.ball_volumes) == 3
+
+    def test_graph_new_grid_scans_again(self, sg, scan_log):
+        g = build_level_graph(sg, 4)
+        for _ in range(2):
+            alfors_check(g, ALPHA)
+            alfors_check(g, ALPHA, r_grid=[0.5, 0.1])
+        assert scan_log == [dyadic_grid(1, 6), (0.5, 0.1)]
+
+    def test_equal_separate_objects_count_again(self, sg, tree_log, scan_log):
+        samples = [sample_measure(sg, 10, 500, seed=3) for _ in range(2)]
+        graphs = [build_level_graph(sg, 3) for _ in range(2)]
+        assert samples[0] == samples[1] and samples[0] is not samples[1]
+        assert graphs[0] == graphs[1] and graphs[0] is not graphs[1]
+        for source in samples + graphs:
+            alfors_check(source, ALPHA)
+        assert [what for what, _ in tree_log].count("build") == 2
+        assert len(scan_log) == 2
+
+
+class TestBallDenominator:
+    """A sample's exact ball counts need its lattice denominator D at
+    most besov.MAX_BALL_DENOMINATOR; sg at depth k has D = 2^(k+1)."""
+
+    def test_depth_24_runs(self, sg):
+        s = sample_measure(sg, 24, 5, seed=1)
+        assert s.denominator == besov.MAX_BALL_DENOMINATOR
+        rep = alfors_check(s, ALPHA)
+        assert [row.r for row in rep.rows] == list(dyadic_grid(1, 6))
+
+    def test_depth_25_refused_before_any_tree(self, sg, tree_log):
+        s = sample_measure(sg, 25, 5, seed=1)
+        with pytest.raises(BudgetExceeded, match="sampling depth") as exc:
+            alfors_check(s, ALPHA)
+        assert exc.value.requested == 2 ** 26
+        assert tree_log == []
+        assert s.ball_volumes == {}
 
 
 class TestTernaryLattice:
@@ -451,6 +573,14 @@ class TestTernaryLattice:
         counts = open_ball_counts_exact(s.points, r) + 1  # the center counts
         return counts / len(counts) / r ** self.HOOK_ALPHA
 
+    def exact_row(self, s, r):
+        """The row alfors_check makes of the exact counts at every center."""
+        counts = open_ball_counts_exact(s.points, r) + 1
+        n = len(counts)
+        ratios = counts * (1.0 / n) / r ** self.HOOK_ALPHA
+        mean = np.sum(np.full(n, 1.0 / n) * ratios)
+        return AlforsRow(r, float(ratios.min()), float(ratios.max()), float(mean))
+
     def test_dyadic_pair_counts_exact(self, cloud):
         s, x = cloud
         scan = besov_functional(s, x, sigma=0.0)
@@ -465,19 +595,24 @@ class TestTernaryLattice:
             assert row.ratio_max == pytest.approx(ratios.max(), rel=1e-12)
             assert row.ratio_mean == pytest.approx(ratios.mean(), rel=1e-12)
 
-    # A radius at a lattice distance: float coordinates put some pairs at
-    # exact distance 1/3 (or 1/81) inside the open ball.
+    # A radius at a lattice distance: _ball_sums's float coordinates put
+    # some pairs at exact distance 1/3 inside the open ball.
     @pytest.mark.xfail(strict=True, reason="float open-ball test miscounts at lattice distances")
     def test_lattice_radius_pair_count(self, cloud):
         s, x = cloud
         scan = besov_functional(s, x, sigma=0.0, r_grid=[1 / 3])
         assert scan.rows[0].pair_count == open_ball_counts_exact(s.points, 1 / 3).sum() // 2
 
-    @pytest.mark.xfail(strict=True, reason="float open-ball test miscounts at lattice distances")
     def test_lattice_radius_alfors_ratio(self, cloud):
         s, _ = cloud
         row = alfors_check(s, self.HOOK_ALPHA, r_grid=[1 / 81]).rows[0]
         assert row.ratio_mean == pytest.approx(self.exact_ratios(s, 1 / 81).mean(), rel=1e-12)
+
+    def test_alfors_rows_equal_exact_counts(self, cloud):
+        s, _ = cloud
+        radii = (1 / 3, 1 / 81) + dyadic_grid(1, 6)
+        rows = alfors_check(s, self.HOOK_ALPHA, r_grid=radii).rows
+        assert rows == tuple(self.exact_row(s, r) for r in radii)
 
 
 class TestLipschitzMap:
