@@ -5,8 +5,9 @@ cell vertex sets and classification of pairwise cell intersections as
 empty / single point / segment / two-dimensional region.  Every hull,
 whatever its shape, is a list of closed half-planes, so one half-plane
 clipper serves every intersection.
-Everything is Fraction arithmetic; there are no tolerances anywhere in
-this module.
+Coordinates may be ints or Fractions: on int inputs every orientation
+test stays in integers, and only a clipped edge's crossing point is
+built as a Fraction.  There are no tolerances anywhere in this module.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _clip_polygon_halfplane(poly: list[Point], a: Point, b: Point) -> list[Point
         if c_cur >= 0:
             out.append(cur)
         if (c_cur > 0 and c_nxt < 0) or (c_cur < 0 and c_nxt > 0):
-            t = c_cur / (c_cur - c_nxt)
+            t = Fraction(c_cur) / (c_cur - c_nxt)
             out.append(
                 (
                     cur[0] + t * (nxt[0] - cur[0]),

@@ -148,14 +148,24 @@ def harmonic_extension(
 
 
 def graph_energy(u: GraphFunction, energy_scale: Value) -> Value:
-    """(energy_scale)^m * sum over level-m edges of (u_i - u_j)^2."""
+    """(energy_scale)^m * sum over level-m edges of (u_i - u_j)^2.
+
+    With every value rational the sum runs on integer numerators over
+    one common denominator and becomes one Fraction at the end; a float
+    value sends the sum through float arithmetic, edge by edge."""
     scale = energy_scale
     if not isinstance(scale, float):
         scale = as_fraction(scale)
-    total: Value = Fraction(0)
-    for i, j in u.graph.edges:
-        diff = u.values[i] - u.values[j]
-        total = total + diff * diff
+    if all(isinstance(v, (int, Fraction)) for v in u.values):
+        den = math.lcm(*(v.denominator for v in u.values))
+        nums = [v.numerator * (den // v.denominator) for v in u.values]
+        squares = sum((nums[i] - nums[j]) ** 2 for i, j in u.graph.edges)
+        total: Value = Fraction(squares, den * den)
+    else:
+        total = Fraction(0)
+        for i, j in u.graph.edges:
+            diff = u.values[i] - u.values[j]
+            total = total + diff * diff
     return scale ** u.graph.level * total
 
 

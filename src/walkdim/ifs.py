@@ -157,7 +157,14 @@ def _boundary_is_word_fixed_point(ifs: IfsSpec, p: Point) -> bool:
 
 
 def validate(ifs: IfsSpec) -> ValidationReport:
-    """Structural checks for gasket-type systems; never raises."""
+    """Structural checks for gasket-type systems; never raises.
+
+    Finite ramification and level-1 connectivity classify the meeting
+    of every pair of cell hulls.  The hulls are scaled once to integer
+    pairs over one common denominator, so the clipping runs on
+    integers; a pair whose closed bounding boxes are disjoint is skipped
+    unclipped, and a meeting point is scaled back to Fractions for the
+    boundary-image test."""
     checks: list[Check] = []
 
     n = len(ifs.maps)
@@ -204,11 +211,24 @@ def validate(ifs: IfsSpec) -> ValidationReport:
 
         hull = attractor_hull(ifs)
         cell_hulls = [[m.apply(p) for p in hull] for m in ifs.maps]
+        den = math.lcm(*(c.denominator for cell in cell_hulls for p in cell for c in p))
+        cell_hulls = [
+            [tuple(c.numerator * (den // c.denominator) for c in p) for p in cell]
+            for cell in cell_hulls
+        ]
+        boxes = [
+            (min(xs), max(xs), min(ys), max(ys))
+            for xs, ys in (zip(*cell) for cell in cell_hulls)
+        ]
         cell_boundary = [frozenset(m.apply(p) for p in ifs.boundary) for m in ifs.maps]
         ram_bad: list[str] = []
         adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
         for i in range(n):
+            x0, x1, y0, y1 = boxes[i]
             for j in range(i + 1, n):
+                u0, u1, v0, v1 = boxes[j]
+                if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+                    continue  # disjoint closed boxes: disjoint hulls
                 inter = hull_intersection(cell_hulls[i], cell_hulls[j])
                 if inter.kind == "empty":
                     continue
@@ -217,7 +237,7 @@ def validate(ifs: IfsSpec) -> ValidationReport:
                 if not inter.is_finite:
                     ram_bad.append(f"cells ({i},{j}) share a {inter.kind}")
                     continue
-                w = inter.witnesses[0]
+                w = tuple(Fraction(c) / den for c in inter.witnesses[0])
                 if w not in cell_boundary[i] or w not in cell_boundary[j]:
                     ram_bad.append(
                         f"cells ({i},{j}) meet at a non-boundary image point"

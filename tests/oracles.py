@@ -5,7 +5,8 @@ package: dense Gaussian elimination and matrix-tree determinants instead
 of star-mesh reduction, O(n^2) double loops instead of tree-accelerated
 pair scans, float linear solves instead of exact back-substitution,
 Fraction similitudes composed word by word instead of integer lattice
-numerators.  Slow and obvious on purpose.
+numerators, Fraction sums and hull clips instead of integer ones.  Slow
+and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -83,6 +84,52 @@ def harmonic_extension_fractions(ifs, m: int, boundary_values):
                 values[v] = x
             assert values[v] == x, "inconsistent cell extension values"
     return tuple(values)
+
+
+def cell_meeting_checks_fractions(ifs):
+    """(name, passed, detail) of validate's finite-ramification and
+    level1-connected checks, by clipping every cell pair's hulls in
+    Fraction coordinates, no bounding-box reject."""
+    from walkdim._geometry import hull_intersection
+    from walkdim.ifs import attractor_hull
+
+    n = len(ifs.maps)
+    hull = attractor_hull(ifs)
+    cell_hulls = [[m.apply(p) for p in hull] for m in ifs.maps]
+    cell_boundary = [{m.apply(p) for p in ifs.boundary} for m in ifs.maps]
+    bad, adjacency = [], {i: set() for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            inter = hull_intersection(cell_hulls[i], cell_hulls[j])
+            if inter.kind == "empty":
+                continue
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+            if not inter.is_finite:
+                bad.append(f"cells ({i},{j}) share a {inter.kind}")
+            elif any(inter.witnesses[0] not in cell_boundary[c] for c in (i, j)):
+                bad.append(f"cells ({i},{j}) meet at a non-boundary image point")
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adjacency[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    connected = len(seen) == n
+    return (
+        ("finite-ramification", not bad, "; ".join(bad[:8])),
+        ("level1-connected", connected, "" if connected else f"cell graph splits; reached only {sorted(seen)}"),
+    )
+
+
+def graph_energy_edgewise(u, energy_scale):
+    """graph_energy summed edge by edge in the values' own arithmetic,
+    from Fraction(0)."""
+    total = Fraction(0)
+    for i, j in u.graph.edges:
+        diff = u.values[i] - u.values[j]
+        total = total + diff * diff
+    scale = energy_scale if isinstance(energy_scale, float) else Fraction(energy_scale)
+    return scale ** u.graph.level * total
 
 
 def dense_laplacian(n: int, edges: dict[tuple[int, int], Fraction]):

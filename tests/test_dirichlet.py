@@ -10,6 +10,7 @@ import walkdim.network
 from oracles import (
     dense_laplacian,
     exit_time_float,
+    graph_energy_edgewise,
     harmonic_extension_fractions,
     heat_diag_dense,
     solve_dense,
@@ -26,6 +27,7 @@ from walkdim.dirichlet import (
 )
 from walkdim.errors import BudgetExceeded, FitError, ReductionError
 from walkdim.ifs import compose
+from walkdim.network import renorm_factor
 from walkdim.levelgraph import _float_measure_weights, build_level_graph, vertex_measure_weights
 
 F = Fraction
@@ -225,6 +227,42 @@ class TestGraphEnergy:
         g = build_level_graph(sg, 1)
         with pytest.raises(ValueError):
             GraphFunction(g, (F(1), F(0)))
+
+
+class TestGraphEnergyEdgewise:
+    """The integer-numerator sum equals the edge-by-edge sum exactly."""
+
+    SG_VALUES = (F(1, 3), F(-2, 7), F(5, 11))
+
+    @pytest.mark.parametrize("method", ["recursive", "direct"])
+    def test_sg(self, sg, method):
+        for m in range(7):
+            u = harmonic_extension(sg, m, self.SG_VALUES, method=method)
+            for scale in (F(5, 3), F(1), 5.0 / 3.0):
+                got, want = graph_energy(u, scale), graph_energy_edgewise(u, scale)
+                assert got == want and type(got) is type(want), (m, scale)
+
+    def test_hook(self, hook):
+        float_scale = renorm_factor(hook).energy_scale
+        assert isinstance(float_scale, float)
+        for m in range(5):
+            u = harmonic_extension(hook, m, (F(1), F(0), F(0)))
+            for scale in (F(7, 5), float_scale):
+                got, want = graph_energy(u, scale), graph_energy_edgewise(u, scale)
+                assert got == want and type(got) is type(want), (m, scale)
+
+    def test_float_values_take_the_float_sum(self, sg):
+        u = harmonic_extension(sg, 4, (0.1, 0.7, -0.3))
+        assert all(isinstance(v, float) for v in u.values)
+        for scale in (F(5, 3), 5.0 / 3.0):
+            got = graph_energy(u, scale)
+            assert isinstance(got, float) and got == graph_energy_edgewise(u, scale)
+
+    def test_int_values(self, sg):
+        g = build_level_graph(sg, 2)
+        u = GraphFunction(g, tuple(v % 3 for v in range(g.vertex_count)))
+        got = graph_energy(u, F(5, 3))
+        assert isinstance(got, F) and got == graph_energy_edgewise(u, F(5, 3))
 
 
 class TestExitTimes:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import walkdim.ifs
-from oracles import sample_measure_wordwise
+from oracles import cell_meeting_checks_fractions, sample_measure_wordwise
 from walkdim._geometry import hull_intersection
 from walkdim.errors import ValidationError
 from walkdim.ifs import (
@@ -166,6 +167,83 @@ class TestValidation:
         j = validate(preset("sg")).to_json()
         assert j["ok"] is True
         assert all(c["passed"] for c in j["checks"])
+
+
+def corner_keeping_grids(cells, corners, ratio, boundary):
+    """Every system on a cell grid that keeps the corner cells: one per
+    subset of the other cells, cells in grid order."""
+    rest = [c for c in cells if c not in corners]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            kept = [c for c in cells if c in corners or c in extra]
+            maps = [Similitude(ratio, (ratio * x, ratio * y)) for x, y in kept]
+            yield make(maps, boundary, name=f"grid{kept}")
+
+
+SQUARE_GRIDS = list(
+    corner_keeping_grids(
+        [(x, y) for x in range(3) for y in range(3)],
+        {(0, 0), (2, 0), (0, 2), (2, 2)},
+        F(1, 3),
+        [pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)],
+    )
+)
+TRIANGLE_GRIDS = list(
+    corner_keeping_grids(
+        [(x, y) for x in range(4) for y in range(4 - x)],
+        {(0, 0), (3, 0), (0, 3)},
+        F(1, 4),
+        [pt(0, 0), pt(1, 0), pt(0, 1)],
+    )
+)
+
+
+class TestValidateAgainstFractionClips:
+    """validate's integer clips with the bounding-box reject give the
+    same cell-meeting checks as clipping every pair in Fractions."""
+
+    @staticmethod
+    def cell_checks(ifs):
+        return tuple(
+            (c.name, c.passed, c.detail)
+            for c in validate(ifs).checks
+            if c.name in ("finite-ramification", "level1-connected")
+        )
+
+    def test_grid_counts(self):
+        assert (len(SQUARE_GRIDS), len(TRIANGLE_GRIDS)) == (32, 128)
+
+    @pytest.mark.parametrize(
+        "family, verdicts",
+        [
+            # upward triangles never share a segment
+            ("square", {(True, True), (True, False), (False, True), (False, False)}),
+            ("triangle", {(True, True), (True, False)}),
+        ],
+        ids=["square", "triangle"],
+    )
+    def test_corner_keeping_grids(self, family, verdicts):
+        seen = set()
+        for ifs in SQUARE_GRIDS if family == "square" else TRIANGLE_GRIDS:
+            want = cell_meeting_checks_fractions(ifs)
+            assert self.cell_checks(ifs) == want, ifs.name
+            seen.add(tuple(passed for _, passed, _ in want))
+        assert seen == verdicts
+
+    def test_vicsek_cross_and_full_grid(self):
+        cross = [(F(x, 3), F(y, 3)) for x, y in [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]]
+        (vicsek,) = [g for g in SQUARE_GRIDS if [m.translation for m in g.maps] == cross]
+        assert validate(vicsek).ok
+        assert len(SQUARE_GRIDS[-1].maps) == 9
+        finite = self.cell_checks(SQUARE_GRIDS[-1])[0]
+        assert finite[:2] == ("finite-ramification", False)
+        assert finite[2].startswith("cells (0,1) share a segment")
+
+    def test_sg_cubed_and_hook(self, sg, lattice_systems):
+        for ifs in (compose(compose(sg, sg), sg), lattice_systems["hook"]):
+            want = cell_meeting_checks_fractions(ifs)
+            assert self.cell_checks(ifs) == want
+            assert all(passed for _, passed, _ in want)
 
 
 class TestDimensions:
