@@ -4,19 +4,19 @@ The scan computes, per radius r, the weighted mean-square oscillation
 over open balls B(x,r) normalized by empirical ball volumes, which is
 the discrete counterpart of the sup-over-r functional whose critical
 exponent recovers the walk dimension.  Point clouds, level graphs
-(exact weights) or measure samples (uniform weights), are read off
-their integer numerators (ifs.LatticePoints).  One kernel, _ball_sums,
-computes every squared distance once, in blocks of rows, and adds each
-block into per-point sums for each radius's open balls, nested from the
-largest ball inward; no pair outlives its block.
-The pushforward audit makes one such scan per cloud.
+(exact weights) or measure samples (uniform weights), are their integer
+numerators over one denominator (ifs.LatticePoints), and every open
+ball is decided on those integers, exactly at any radius: d(x, y) < r
+iff the squared numerator distance is at most ceil(r^2*D^2) - 1.
 
-_ball_sums's float open-ball test d^2 < r^2 is exact when no lattice
-distance lies within rounding of r: always for dyadic coordinates and
-radii, and for dyadic radii on the hook's 3^-m lattice; but there a
-custom radius 1/3 counts some pairs at distance exactly 1/3 as inside.
-The regularity counts of alfors_check on a measure sample are decided
-on the integer numerators instead, exact at any radius.
+One kernel, _ball_sums, serves every Besov and pushforward scan and
+the regularity volumes of a level graph: it sorts the cloud by (x, y),
+computes the squared distances of each block of rows against the
+x-window of its largest ball, and adds each ball's masked row and
+column sums into per-point sums; no pair outlives its block.  The
+pushforward audit makes one such scan per cloud, the image an exact
+lattice cloud too.  The regularity counts of alfors_check on a measure
+sample use a k-d tree on the same integers.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
-from .ifs import IfsSpec, MeasureSample, hausdorff_dim
+from .ifs import IfsSpec, LatticePoints, MeasureSample, hausdorff_dim
 from .levelgraph import LevelGraph, _float_measure_weights
 from .rational import as_fraction, as_point, format_rational
 
@@ -51,17 +52,15 @@ def dyadic_grid(j_min: int = 1, j_max: int = 5) -> tuple[float, ...]:
     return tuple(2.0 ** -j for j in range(j_min, j_max + 1))
 
 
-def _cloud(source: PointSource) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) as float arrays; weights sum to 1."""
+def _weights(source: PointSource) -> np.ndarray:
+    """The float point weights of a point source; they sum to 1."""
     import numpy as np
 
     if isinstance(source, LevelGraph):
-        w = np.array(_float_measure_weights(source))
-    elif isinstance(source, MeasureSample):
-        w = np.full(len(source.numerators), 1.0 / len(source.numerators))
-    else:
-        raise TypeError("point source must be a LevelGraph or MeasureSample")
-    return source.float_points(), w
+        return np.array(_float_measure_weights(source))
+    if isinstance(source, MeasureSample):
+        return np.full(len(source.numerators), 1.0 / len(source.numerators))
+    raise TypeError("point source must be a LevelGraph or MeasureSample")
 
 
 def _check_pair_budget(n: int) -> None:
@@ -100,12 +99,38 @@ def _radius_grid(r_grid: Optional[Sequence[float]]) -> tuple:
     return radii
 
 
-# Candidate pairs per block of the ball-sum scan (512 KB of float64 d^2).
-PAIR_BLOCK = 2 ** 16
+# Candidate entries per block of the ball-sum scan (128 KB of int32 d^2).
+PAIR_BLOCK = 2 ** 15
+# Numerators of a pair scan stay below this, so that squared numerator
+# distances, below 2 * (2^31)^2 = 2^63, are exact int64.
+MAX_SCAN_NUMERATOR = 2 ** 30
+
+
+def _open_ball_bound(r: float, den: int) -> int:
+    """L = ceil(r^2*den^2) - 1 for the exact value of r: points a/den and
+    b/den lie at distance < r iff the integer |a - b|^2 is at most L."""
+    bound = Fraction(r) ** 2 * den ** 2
+    return -(-bound.numerator // bound.denominator) - 1
+
+
+_NUMERATOR_KNOBS = {
+    MeasureSample: "lower the sampling depth (--depth)",
+    LevelGraph: "lower the level (-m)",
+    LatticePoints: "lower the level (-m) or the map's denominators (--scale, --translate)",
+}
+
+
+def _check_numerators(points: LatticePoints) -> None:
+    """Refuse numerators past MAX_SCAN_NUMERATOR, naming the cloud's knob."""
+    top = max(map(abs, chain.from_iterable(points.numerators)), default=0)
+    if top >= MAX_SCAN_NUMERATOR:
+        knob = _NUMERATOR_KNOBS.get(type(points), _NUMERATOR_KNOBS[LatticePoints])
+        remedy = f"{knob} (fixed limit besov.MAX_SCAN_NUMERATOR)"
+        raise BudgetExceeded(top, MAX_SCAN_NUMERATOR, "lattice numerator", remedy)
 
 
 def _ball_sums(
-    points: np.ndarray,
+    points: LatticePoints,
     w: np.ndarray,
     radii: Sequence[float],
     vals: Optional[np.ndarray] = None,
@@ -116,68 +141,104 @@ def _ball_sums(
     volumes are w_x plus w_y over the ball (never 0); osc_x is the ball's
     sum of w_y*(u(x)-u(y))^2; raw sums w_x*osc_x/volume_x and integral
     sums w_x*osc_x (both 0 when vals is None); pairs counts i < j in a
-    ball.
+    ball.  Arrays are in the input order of the points.
 
-    Squared distances are computed for blocks of consecutive rows i
-    against every column j > i, about PAIR_BLOCK candidates a block;
-    every distance is computed whatever the radii, so 20000 sample points
-    at r = 1/64 take about 0.8 s, against 0.03 s for a k-d tree query
-    (2-core x86-64, CPython 3.11).  Each ball, largest first, keeps the
-    entries of the next larger one with d^2 < r^2, in block order, and
-    np.bincount adds them to its per-point sums in both directions; no
-    entry outlives its block.  A ball's sums thus come out the same
-    whatever other radii the scan has and, bincount being sequential, on
-    any BLAS.  The pair-scan limit is checked before the first block.
+    A ball is decided on the integer numerators over the one
+    denominator D: d(x, y) < r iff the squared numerator distance is at
+    most L = ceil(r^2*D^2) - 1 (_open_ball_bound), exact at any radius.
+    The cloud is sorted by (x, y).  Each block of consecutive rows i
+    meets the columns j > i with x_j <= x_last + isqrt(L) of its largest
+    ball, found by np.searchsorted, and holds as many rows as keep it
+    within PAIR_BLOCK entries (one row may exceed it).  The block
+    computes its squared distances and (u(x)-u(y))^2 once; each ball
+    masks its own x-window of them and adds the masked row and column
+    sums of w and of w*(u(x)-u(y))^2 with np.einsum, which sums in one
+    order on any BLAS and thread count.  So the sums are deterministic,
+    and depend on the other radii only through the blocks.  20000 sg
+    sample points at r = 1/64 take about 0.05 s (2-core x86-64,
+    CPython 3.11, numpy 2.4).  The pair-scan and numerator limits are
+    checked before the cloud is sorted.
     """
     import numpy as np
 
-    n = len(points)
+    n = len(points.numerators)
     _check_pair_budget(n)
-    r2 = np.square(np.asarray(radii, dtype=float))
-    balls = np.unique(r2)  # the distinct r^2, increasing
+    _check_numerators(points)
+    xy = np.array(points.numerators, dtype=np.int64).reshape(n, 2)
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    xy = xy[order]
+    if n:
+        xy -= xy.min(axis=0)  # distances are translation-invariant
+    # the distinct bounds L, increasing, none above the largest d^2
+    top = sum(side * side for side in (xy.max(axis=0).tolist() if n else ()))
+    bound = [min(_open_ball_bound(r, points.denominator), top) for r in radii]
+    balls = sorted(set(bound))
     k = len(balls)
-    x, y = np.ascontiguousarray(points.T)
+    # int32 squared distances where they fit, with the sentinel top + 1
+    dtype = np.int32 if top < 2 ** 31 - 1 else np.int64
+    x, y = np.ascontiguousarray(xy.T, dtype=dtype)
+    ends = [np.searchsorted(x, x + math.isqrt(b), "right") for b in balls]
+    reach = ends[-1].tolist()
+    w_s = w[order]
+    u = None if vals is None else vals[order]
+    size = max(PAIR_BLOCK, n)  # one row may exceed PAIR_BLOCK
+    d2_buf, dy_buf = np.empty(size, dtype), np.empty(size, dtype)
+    du2_buf, mask_buf, in_buf = np.empty(size), np.empty(size), np.empty(size, bool)
     volume = np.zeros((k, n))
     osc = np.zeros((k, n))
-    pairs = np.zeros(k, dtype=np.int64)
+    pairs = [0] * k
     start = 0
     while start < n - 1:
-        cols = n - 1 - start
-        rows = min(cols, max(1, PAIR_BLOCK // cols))
-        # entry (a, b) is the pair (start + a, start + 1 + b), so i < j iff a <= b
-        d2 = x[start : start + rows, None] - x[start + 1 :]
-        d2 *= d2
-        dy = y[start : start + rows, None] - y[start + 1 :]
-        d2 += dy * dy
-        keep = d2 < balls[-1]
-        keep[:, :rows] = np.triu(keep[:, :rows])
-        flat = np.flatnonzero(keep)
-        d2 = d2.ravel().take(flat)
-        a = flat // cols
-        b = flat - a * cols
-        if vals is not None:
-            diff2 = vals[start : start + rows].take(a) - vals[start + 1 :].take(b)
-            diff2 *= diff2
-        w_a, w_b = w[start : start + rows], w[start + 1 :]
-        for t in range(k - 1, -1, -1):
-            if t < k - 1:
-                inner = np.flatnonzero(d2 < balls[t])
-                a, b, d2 = a.take(inner), b.take(inner), d2.take(inner)
-                if vals is not None:
-                    diff2 = diff2.take(inner)
-            pairs[t] += len(a)
-            wa, wb = w_a.take(a), w_b.take(b)
-            volume[t, start : start + rows] += np.bincount(a, wb, rows)
-            volume[t, start + 1 :] += np.bincount(b, wa, cols)
-            if vals is not None:
-                osc[t, start : start + rows] += np.bincount(a, wb * diff2, rows)
-                osc[t, start + 1 :] += np.bincount(b, wa * diff2, cols)
-        start += rows
+        # the most rows whose window holds at most PAIR_BLOCK entries
+        rows, most = 1, n - 1 - start
+        while rows < most:
+            mid = (rows + most + 1) // 2
+            if mid * (reach[start + mid - 1] - start - 1) <= PAIR_BLOCK:
+                rows = mid
+            else:
+                most = mid - 1
+        stop = start + rows
+        first, cols = start + 1, reach[stop - 1] - start - 1
+        if cols > 0:
+            # entry (a, b) is the pair (start + a, first + b), so i < j iff a <= b
+            d2 = d2_buf[: rows * cols].reshape(rows, cols)
+            dy = dy_buf[: rows * cols].reshape(rows, cols)
+            np.subtract(x[start:stop, None], x[first : first + cols], out=d2)
+            np.multiply(d2, d2, out=d2)
+            np.subtract(y[start:stop, None], y[first : first + cols], out=dy)
+            np.multiply(dy, dy, out=dy)
+            d2 += dy
+            d2[:, :rows][np.tri(rows, min(rows, cols), -1, dtype=bool)] = top + 1
+            if u is not None:
+                du2 = du2_buf[: rows * cols].reshape(rows, cols)
+                np.subtract(u[start:stop, None], u[first : first + cols], out=du2)
+                np.multiply(du2, du2, out=du2)
+            w_rows = w_s[start:stop]
+            for t in range(k):
+                c = int(ends[t][stop - 1]) - first
+                if c <= 0:
+                    continue
+                inside = in_buf[: rows * c].reshape(rows, c)
+                np.less_equal(d2[:, :c], balls[t], out=inside)
+                pairs[t] += int(np.count_nonzero(inside))
+                mask = mask_buf[: rows * c].reshape(rows, c)
+                np.copyto(mask, inside)
+                w_cols = w_s[first : first + c]
+                volume[t, start:stop] += np.einsum("ij,j->i", mask, w_cols)
+                volume[t, first : first + c] += np.einsum("ij,i->j", mask, w_rows)
+                if u is not None:
+                    np.multiply(mask, du2[:, :c], out=mask)
+                    osc[t, start:stop] += np.einsum("ij,j->i", mask, w_cols)
+                    osc[t, first : first + c] += np.einsum("ij,i->j", mask, w_rows)
+        start = stop
+    volume[:, order] = volume.copy()
+    osc[:, order] = osc.copy()
     sums = []
-    for t in np.searchsorted(balls, r2):
+    for b in bound:
+        t = balls.index(b)
         ball = w + volume[t]
         w_osc = w * osc[t]
-        sums.append((ball, float(np.sum(w_osc / ball)), int(pairs[t]), float(np.sum(w_osc))))
+        sums.append((ball, float(np.sum(w_osc / ball)), pairs[t], float(np.sum(w_osc))))
     return sums
 
 
@@ -229,16 +290,16 @@ def besov_functional(
     the open ball of radius r and divides by the empirical ball volume
     (x itself always counts, so volumes never vanish); the outer sum is
     w_x-weighted.  Radii with no point pairs are kept but flagged via
-    pair_count = 0.  r_grid (default dyadic_grid()): see the module
-    docstring for when its open balls are exact.
+    pair_count = 0.  r_grid (default dyadic_grid()) may hold any radii
+    in (0,1); their open balls are exact on the lattice numerators.
     """
     import numpy as np
 
-    pts, w = _cloud(source)
+    w = _weights(source)
     vals = _function_values(source, u)
     radii = _radius_grid(r_grid)
     rows: list[BesovRow] = []
-    for r, (volume, raw, pairs, _) in zip(radii, _ball_sums(pts, w, radii, vals)):
+    for r, (volume, raw, pairs, _) in zip(radii, _ball_sums(source, w, radii, vals)):
         scaled = r ** (-2.0 * sigma) * raw
         rows.append(
             BesovRow(float(r), raw, scaled, float(volume.min()), float(volume.max()), pairs)
@@ -302,7 +363,7 @@ def critical_exponent_fit(
 
     For a critical witness (harmonic or coordinate function) the slope
     estimates the Besov critical exponent, matching the walk dimension.
-    r_grid has besov_functional's exactness limit.
+    Every grid radius gets exact open balls (see the module docstring).
     """
     r_min, r_max = r_window
     if not (0 < r_min < r_max < 1):
@@ -359,9 +420,8 @@ MAX_BALL_DENOMINATOR = 2 ** 25
 def _open_ball_radius(r: float, den: int) -> float:
     """The query radius whose closed ball on integer numerators over den
     is the open ball of radius r (its exact value): sqrt(L + 1/2), with
-    d^2 < r^2*den^2 iff d^2 <= L = ceil(r^2*den^2) - 1."""
-    bound = Fraction(r) ** 2 * den ** 2
-    return math.sqrt(-(-bound.numerator // bound.denominator) - 1 + 0.5)
+    L = _open_ball_bound(r, den)."""
+    return math.sqrt(_open_ball_bound(r, den) + 0.5)
 
 
 def _regularity_volumes(
@@ -400,8 +460,8 @@ def _regularity_volumes(
         )
         center_w = np.full(len(centers), 1.0 / len(centers))
     else:
-        pts, center_w = _cloud(source)
-        volumes = tuple(volume for volume, _, _, _ in _ball_sums(pts, center_w, radii))
+        center_w = _weights(source)
+        volumes = tuple(volume for volume, _, _, _ in _ball_sums(source, center_w, radii))
     source.ball_volumes[key] = center_w, volumes
     return center_w, volumes
 
@@ -422,11 +482,11 @@ def alfors_check(
     bounds the ratio above and below; the drift (largest-to-smallest
     mean ratio across scales) flags a misspecified exponent, which bends
     the ratios geometrically in r.  r_grid (default dyadic_grid(1, 6),
-    radii in (0,1)): a sample's open balls are exact at any radius, with
+    radii in (0,1)): open balls are exact at any radius, a sample's with
     its lattice denominator at most MAX_BALL_DENOMINATOR (BudgetExceeded
-    otherwise); a level graph's have the float limit of the module
-    docstring.  The volumes do not depend on alpha and are counted once
-    per (radii, centers) on each source object.
+    otherwise), a level graph's with its numerators below
+    MAX_SCAN_NUMERATOR.  The volumes do not depend on alpha and are
+    counted once per (radii, centers) on each source object.
     """
     import numpy as np
 
@@ -534,8 +594,10 @@ def pushforward_check(
     constant and C' = C^(2 alpha), at every grid radius, and (iii)
     agreement of the critical-exponent fits computed independently on
     source and image clouds.  Each cloud is scanned once, for all of its
-    radii.  u must live on a level graph of `ifs`; ValueError otherwise.
-    r_grid has besov_functional's exactness limit.
+    radii; the image is the exact lattice cloud of the map
+    (LatticePoints.image), so both sides decide their open balls on
+    integers.  u must live on a level graph of `ifs`; ValueError
+    otherwise.
     """
     import numpy as np
 
@@ -550,14 +612,14 @@ def pushforward_check(
     float_radii = [float(r) for r in radii]
     s = float(transform.scale)
     c_float = float(transform.bilipschitz_constant)
-    pts_src, w = _cloud(graph)
+    w = _weights(graph)
     vals = u.float_values()
 
     # one scan per cloud: the source over radii + C*radii (its fit, then
     # the right-hand sides), the image over radii + s*radii (the left-hand
     # sides, then its fit)
     inflated = tuple(r * c_float for r in float_radii)
-    src_sums = _ball_sums(pts_src, w, radii + inflated, vals)
+    src_sums = _ball_sums(graph, w, radii + inflated, vals)
     r_min, r_max = FIT_WINDOW
     source_fit = _fit(
         float_radii, (raw for _, raw, _, _ in src_sums[:k]), FIT_WINDOW, "raise the level (-m)"
@@ -578,9 +640,9 @@ def pushforward_check(
             "bound": c_float ** (alpha / p),
             "ok": observed <= c_float ** (alpha / p) * (1 + 1e-12),
         }
-    pts_img = graph.float_points(transform.scale, transform.translation)
+    image = graph.image(transform.scale, transform.translation)
     img_radii = [r * s for r in float_radii]
-    img_sums = _ball_sums(pts_img, w, tuple(float_radii + img_radii), vals)
+    img_sums = _ball_sums(image, w, tuple(float_radii + img_radii), vals)
 
     # (ii) each side: the double integral of (u(x)-u(y))^2 over open-ball
     # pairs, the image's under weights w_img = mass_factor * w

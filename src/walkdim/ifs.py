@@ -4,8 +4,9 @@ A gasket system is a list of similitudes x -> ratio*x + t sharing one
 contraction ratio, plus a declared boundary vertex set V0.  Validation
 checks the structural properties that the rest of the package relies on
 (finite ramification, connectivity); dimensions come out as exact
-LogRatio values.  Level graphs and measure samples share one point
-format, LatticePoints: integer pairs over one denominator of _lattice.
+LogRatio values.  Level graphs, measure samples and their affine images
+share one point format, LatticePoints: integer pairs over one
+denominator, that of _lattice for graphs and samples.
 """
 
 from __future__ import annotations
@@ -143,14 +144,29 @@ def attractor_hull(ifs: IfsSpec) -> list[Point]:
     return convex_hull(pts)
 
 
-def _boundary_is_word_fixed_point(ifs: IfsSpec, p: Point) -> bool:
-    """Is p the fixed point of some composition of <= _BOUNDARY_WORD_DEPTH maps?"""
+def _boundary_is_word_fixed_point(ifs: IfsSpec, hull: list[Point], p: Point) -> bool:
+    """Is p the fixed point of some composition of <= _BOUNDARY_WORD_DEPTH maps?
+
+    A word's fixed point lies in its cell, inside the word's image of
+    the attractor hull's bounding box, and so does the cell of every
+    longer word that starts with it: only words whose box holds p are
+    extended."""
+    xs, ys = zip(*hull)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+
+    def holds(m: Similitude) -> bool:
+        (tx, ty), s = m.translation, m.ratio
+        return s * x0 + tx <= p[0] <= s * x1 + tx and s * y0 + ty <= p[1] <= s * y1 + ty
+
     frontier = list(ifs.maps)
     for depth in range(1, _BOUNDARY_WORD_DEPTH + 1):
         if any(m.fixed_point() == p for m in frontier):
             return True
-        # build the next words only if they will be checked and fit the cap
-        if depth == _BOUNDARY_WORD_DEPTH or len(frontier) * len(ifs.maps) > 20000:
+        if depth == _BOUNDARY_WORD_DEPTH:
+            break
+        # extend the words whose box holds p, if their extensions fit the cap
+        frontier = [m for m in frontier if holds(m)]
+        if len(frontier) * len(ifs.maps) > 20000:
             break
         frontier = [m.after(inner) for m in frontier for inner in ifs.maps]
     return False
@@ -196,10 +212,11 @@ def validate(ifs: IfsSpec) -> ValidationReport:
     )
 
     if n >= 2 and len(ratios) == 1 and k >= 2 and distinct:
+        hull = attractor_hull(ifs)
         bad_pts = [
             i
             for i, p in enumerate(ifs.boundary)
-            if not _boundary_is_word_fixed_point(ifs, p)
+            if not _boundary_is_word_fixed_point(ifs, hull, p)
         ]
         checks.append(
             Check(
@@ -209,7 +226,6 @@ def validate(ifs: IfsSpec) -> ValidationReport:
             )
         )
 
-        hull = attractor_hull(ifs)
         cell_hulls = [[m.apply(p) for p in hull] for m in ifs.maps]
         den = math.lcm(*(c.denominator for cell in cell_hulls for p in cell for c in p))
         cell_hulls = [
@@ -312,7 +328,8 @@ class LatticePoints:
     """Point i is numerators[i] / denominator; `points`, the same points
     as Fractions, is built on first use and kept.  Equality compares the
     integers, which for one system and depth are equal exactly when the
-    points are."""
+    points are.  The ball scans of besov decide every open ball on these
+    integers; image() maps them exactly under x -> scale*x + shift."""
 
     numerators: tuple[tuple[int, int], ...]
     denominator: int
@@ -328,19 +345,27 @@ class LatticePoints:
         with this object alone: an equal object counts its own."""
         return {}
 
-    def float_points(self, scale: Fraction = Fraction(1), shift: Point = (0, 0)):
-        """The points scale*v + shift of the points v as an (n, 2) float
-        array.  With scale = s_n/s_d, a coordinate a/D and a shift t_n/t_d,
-        each float is one int true division, (s_n*t_d*a + t_n*s_d*D) /
-        (s_d*D*t_d): correctly rounded, the same float as float(Fraction)."""
+    def float_points(self):
+        """The points as an (n, 2) float array, each coordinate one int
+        true division a/D: correctly rounded, the same float as
+        float(Fraction)."""
         import numpy as np
 
-        big = scale.denominator * self.denominator
-        (mx, ox, dx), (my, oy, dy) = (
-            (scale.numerator * t.denominator, t.numerator * big, big * t.denominator)
-            for t in map(Fraction, shift)
-        )
-        return np.array([((mx * ax + ox) / dx, (my * ay + oy) / dy) for ax, ay in self.numerators])
+        den = self.denominator
+        return np.array([(ax / den, ay / den) for ax, ay in self.numerators])
+
+    def image(self, scale: Fraction, shift: Point) -> "LatticePoints":
+        """The points scale*v + shift, exactly, over one denominator.
+
+        With scale = s_n/s_d, shift = (t_x, t_y) and T the lcm of the
+        shift's denominators, scale*(a/D) + t_x is the integer
+        s_n*T*a + t_x*T*s_d*D over s_d*D*T, and likewise in y."""
+        tx, ty = shift
+        lcm = math.lcm(tx.denominator, ty.denominator)
+        den = scale.denominator * self.denominator * lcm
+        m = scale.numerator * lcm
+        ox, oy = int(tx * den), int(ty * den)
+        return LatticePoints(tuple((m * ax + ox, m * ay + oy) for ax, ay in self.numerators), den)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,20 @@ def cell_meeting_checks_fractions(ifs):
     )
 
 
+def boundary_is_word_fixed_point_unpruned(ifs, p, depth: int = 3) -> bool:
+    """Is p the fixed point of some composition of <= depth maps?  Every
+    word is composed, however far its cell lies from p, under the same
+    20000-word cap on each new length as the pruned search."""
+    frontier = list(ifs.maps)
+    for length in range(1, depth + 1):
+        if any(m.fixed_point() == p for m in frontier):
+            return True
+        if length == depth or len(frontier) * len(ifs.maps) > 20000:
+            break
+        frontier = [m.after(inner) for m in frontier for inner in ifs.maps]
+    return False
+
+
 def graph_energy_edgewise(u, energy_scale):
     """graph_energy summed edge by edge in the values' own arithmetic,
     from Fraction(0)."""
@@ -372,89 +386,104 @@ def heat_diag_dense(graph, laziness: float, times, x: int) -> list[float]:
     return out
 
 
-def ball_volumes_brute(pts: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
+def open_ball_pairs_brute(points, r: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, at distance < r (the exact value of the
+    float r), in (i, j) order: each pair decided in Fractions."""
+    r2 = Fraction(r) ** 2
+    n = len(points)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (points[i][0] - points[j][0]) ** 2 + (points[i][1] - points[j][1]) ** 2 < r2
+    ]
+
+
+def _integer_cloud(points) -> tuple[np.ndarray, int]:
+    """(numerators as an (n, 2) int64 array, their one denominator)."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    xy = np.array([[int(c * den) for c in p] for p in points], dtype=np.int64).reshape(-1, 2)
+    assert len(xy) == 0 or np.abs(xy).max() < 2 ** 30, "squared distances would overflow int64"
+    return xy, den
+
+
+def _open_ball_limit(r: float, den: int) -> int:
+    bound = Fraction(r) ** 2 * den ** 2  # d2 < bound  <=>  d2 <= ceil(bound) - 1
+    return -(-bound.numerator // bound.denominator) - 1
+
+
+def open_ball_mask_exact(points, r: float) -> np.ndarray:
+    """The n x n matrix of "point j lies in the open ball of radius r
+    (the exact value of the float r) about point i", j != i, decided on
+    integer numerators over one common denominator: no coordinate,
+    distance or radius rounds."""
+    xy, den = _integer_cloud(points)
+    d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
+    inside = d2 <= _open_ball_limit(r, den)
+    np.fill_diagonal(inside, False)
+    return inside
+
+
+def open_ball_counts_exact(points, r: float) -> np.ndarray:
+    """Per point, how many other points lie in its open ball of radius r."""
+    return open_ball_mask_exact(points, r).sum(axis=1)
+
+
+def ball_volumes_brute(points, w: np.ndarray, r: float) -> np.ndarray:
     """V(x,r) per point: total weight within the open ball, double loop."""
-    n = len(pts)
+    inside = open_ball_mask_exact(points, r)
+    n = len(points)
     vols = w.astype(float).copy()
     for i in range(n):
         for j in range(i + 1, n):
-            d2 = float((pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2)
-            if d2 < r * r:
+            if inside[i, j]:
                 vols[i] += w[j]
                 vols[j] += w[i]
     return vols
 
 
-def open_ball_counts_exact(points, r: float) -> np.ndarray:
-    """Per point, how many other points lie in its open ball of radius r
-    (the exact value of the float r), decided on integer numerators over
-    one common denominator: no coordinate, distance or radius rounds."""
-    den = math.lcm(*(c.denominator for p in points for c in p))
-    xy = np.array([[int(c * den) for c in p] for p in points], dtype=np.int64)
-    assert np.abs(xy).max() < 2 ** 30, "squared distances would overflow int64"
-    bound = Fraction(r) ** 2 * den ** 2  # d2 < bound  <=>  d2 <= ceil(bound) - 1
-    limit = -(-bound.numerator // bound.denominator) - 1
-    d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
-    return (d2 <= limit).sum(axis=1) - 1
-
-
-def open_ball_pairs_brute(pts: np.ndarray, r: float) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, at distance < r, in (i, j) order."""
-    n = len(pts)
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if float((pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2) < r * r
-    ]
-
-
-def oscillation_brute(
-    pts: np.ndarray, w: np.ndarray, vals: np.ndarray, r: float
-) -> float:
+def oscillation_brute(points, w: np.ndarray, vals: np.ndarray, r: float) -> float:
     """Double integral of (u(x)-u(y))^2 over open-ball pairs."""
+    inside = open_ball_mask_exact(points, r)
     total = 0.0
-    n = len(pts)
+    n = len(points)
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            d2 = float((pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2)
-            if d2 < r * r:
+            if inside[i, j]:
                 total += float(w[i]) * float(w[j]) * float(vals[i] - vals[j]) ** 2
     return total
 
 
-def besov_raw_brute(pts: np.ndarray, w: np.ndarray, vals: np.ndarray, r: float) -> float:
+def besov_raw_brute(points, w: np.ndarray, vals: np.ndarray, r: float) -> float:
     """Volume-normalized mean-square oscillation, the slow way."""
-    vols = ball_volumes_brute(pts, w, r)
+    inside = open_ball_mask_exact(points, r)
+    vols = ball_volumes_brute(points, w, r)
     total = 0.0
-    n = len(pts)
+    n = len(points)
     for i in range(n):
         inner = 0.0
         for j in range(n):
-            if i == j:
-                continue
-            d2 = float((pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2)
-            if d2 < r * r:
+            if inside[i, j]:
                 inner += float(w[j]) * float(vals[i] - vals[j]) ** 2
         total += float(w[i]) * inner / float(vols[i])
     return total
 
 
 # The blocked pair-list scan that the streaming ball-sum kernel replaced,
-# kept as its reference: it holds every pair below the largest radius,
-# masks them per radius and scatters them with np.add.at.
+# kept as its reference on exact integers: it holds every pair below the
+# largest radius, masks them per radius and scatters them with np.add.at.
 PAIR_BLOCK = 2 ** 16
 
 
-def pairs_by_radius(points: np.ndarray, radii):
+def pairs_by_radius(points, radii):
     """Per radius, in the given order: the int32 index pairs (i, j),
-    i < j, with d(x_i, x_j) < r strictly, sorted by (i, j)."""
-    n = len(points)
-    x, y = np.ascontiguousarray(points.T)
-    bound = max(radii) * max(radii)
-    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
+    i < j, with d(x_i, x_j) < r strictly, sorted by (i, j); points are
+    exact pairs, decided on integer numerators."""
+    xy, den = _integer_cloud(points)
+    n = len(xy)
+    x, y = np.ascontiguousarray(xy.T)
+    limits = [_open_ball_limit(r, den) for r in radii]
+    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, np.int64))]
     start = 0
     while start < n - 1:
         stop = min(n - 1, start + max(1, PAIR_BLOCK // (n - 1 - start)))
@@ -463,18 +492,18 @@ def pairs_by_radius(points: np.ndarray, radii):
         d2 *= d2
         dy = y[start:stop, None] - y[start + 1 :]
         d2 += dy * dy
-        keep = d2 < bound
+        keep = d2 <= max(limits)
         keep[:, : stop - start] = np.triu(keep[:, : stop - start])
         a, b = np.nonzero(keep)
         blocks.append((a.astype(np.int32) + start, b.astype(np.int32) + (start + 1), d2[keep]))
         start = stop
     i, j, d2 = map(np.concatenate, zip(*blocks))
-    for r in radii:
-        keep = d2 < r * r
+    for limit in limits:
+        keep = d2 <= limit
         yield i[keep], j[keep]
 
 
-def ball_sums_by_pairs(points: np.ndarray, w: np.ndarray, radii, vals=None):
+def ball_sums_by_pairs(points, w: np.ndarray, radii, vals=None):
     """besov._ball_sums from pair lists: per radius, (volumes, raw, pair
     count, double integral sum_x w_x osc_x)."""
     out = []

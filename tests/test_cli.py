@@ -559,8 +559,9 @@ def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
     stdout byte for byte.  Sampling, gluing and the heat kernel still
     print what their earlier routes did (Fraction by Fraction, sparse
     lazy-walk steps).  The two besov-fit files and the pushforward file
-    date from the streaming ball sums; they moved from the pair-list
-    route's by at most 4e-13 relative, every integer and string equal.
+    date from the integer ball kernel's einsum sums; they moved from the
+    float kernel's bincount sums by at most 1.4e-13 relative, every
+    integer, string and key equal.
     The hook harmonic file's two float energy fields date from the
     renormalization step that glues cell matrices cell by cell; they
     moved by at most 8.5e-16 relative.

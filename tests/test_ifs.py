@@ -6,12 +6,17 @@ from fractions import Fraction
 import pytest
 
 import walkdim.ifs
-from oracles import cell_meeting_checks_fractions, sample_measure_wordwise
+from oracles import (
+    boundary_is_word_fixed_point_unpruned,
+    cell_meeting_checks_fractions,
+    sample_measure_wordwise,
+)
 from walkdim._geometry import hull_intersection
 from walkdim.errors import ValidationError
 from walkdim.ifs import (
     IfsSpec,
     Similitude,
+    _boundary_is_word_fixed_point,
     _lattice,
     attractor_hull,
     compose,
@@ -120,20 +125,23 @@ class TestValidation:
         assert "boundary-fixed-point" in {c.name for c in validate(bad).failures}
 
     def test_unfixed_boundary_builds_only_checked_words(self, sg, monkeypatch):
-        # 27 maps: words of length 2 and 3 are checked; length 4 is never built
+        # 27 maps: words of length 2 and 3 are checked; length 4 is never
+        # built, and only words whose cell box holds (1/2, 1/2) are
+        # extended, far fewer than the 27^2 + 27^3 of every word
         sg3 = compose(sg, compose(sg, sg))
         bad = make(sg3.maps, [pt(0, 0), pt(1, 0), pt(F(1, 2), F(1, 2))])
-        calls = []
+        built = []
         after = Similitude.after
 
         def counting(self, inner):
-            calls.append(None)
+            built.append(self.ratio * inner.ratio)
             return after(self, inner)
 
         monkeypatch.setattr(Similitude, "after", counting)
         report = validate(bad)
         assert "boundary-fixed-point" in {c.name for c in report.failures}
-        assert len(calls) == 27 ** 2 + 27 ** 3
+        assert set(built) == {F(1, 8) ** 2, F(1, 8) ** 3}
+        assert len(built) < 27 ** 2
 
     def test_overlapping_cells_fail(self):
         # both maps fix overlapping squares: intersection has interior
@@ -244,6 +252,53 @@ class TestValidateAgainstFractionClips:
             want = cell_meeting_checks_fractions(ifs)
             assert self.cell_checks(ifs) == want
             assert all(passed for _, passed, _ in want)
+
+
+# The ratio-1/6 grid cells (i, j), i + j <= 6, j <= 5, without (0, 0):
+# 26 maps, and no word fixes the corner (0, 0).
+GRID6 = make(
+    [
+        Similitude(F(1, 6), (F(i, 6), F(j, 6)))
+        for i in range(7)
+        for j in range(6)
+        if i + j <= 6 and (i, j) != (0, 0)
+    ],
+    [pt(0, 0), pt(1, 0), pt(0, 1)],
+    name="grid6",
+)
+
+
+class TestBoundaryWordSearch:
+    """The pruned word search gives the verdicts of composing every word."""
+
+    @staticmethod
+    def verdicts(ifs, points):
+        hull = attractor_hull(ifs)
+        pruned = [_boundary_is_word_fixed_point(ifs, hull, p) for p in points]
+        assert pruned == [boundary_is_word_fixed_point_unpruned(ifs, p) for p in points], ifs.name
+        return pruned
+
+    def test_corner_keeping_grids(self):
+        for ifs in SQUARE_GRIDS + TRIANGLE_GRIDS:
+            assert self.verdicts(ifs, ifs.boundary) == [True] * len(ifs.boundary)
+
+    def test_grid6_corner_unfixed(self):
+        assert len(GRID6.maps) == 26
+        assert self.verdicts(GRID6, GRID6.boundary) == [False, True, True]
+        assert "boundary-fixed-point" in {c.name for c in validate(GRID6).failures}
+
+    def test_fixed_points_of_longer_words(self, sg, lattice_systems):
+        # the fixed points of words of length 2 and 3 need the search to
+        # extend the right words; points fixed by no word of length <= 3
+        # need it to exhaust the pruned tree
+        for ifs in (sg, lattice_systems["hook"]):
+            words = list(ifs.maps)
+            for _ in range(2):
+                words = [m.after(inner) for m in words[: 2 * len(ifs.maps)] for inner in ifs.maps]
+                fixed = [m.fixed_point() for m in words[:: len(ifs.maps) + 1]]
+                assert all(self.verdicts(ifs, fixed))
+            unfixed = [pt(F(1, 2), F(1, 2)), pt(F(1, 5), 0), pt(F(1, 9), F(1, 9))]
+            assert self.verdicts(ifs, unfixed) == [False] * 3
 
 
 class TestDimensions:
