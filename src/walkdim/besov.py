@@ -116,7 +116,7 @@ def _open_ball_bound(r: float, den: int) -> int:
 _NUMERATOR_KNOBS = {
     MeasureSample: "lower the sampling depth (--depth)",
     LevelGraph: "lower the level (-m)",
-    LatticePoints: "lower the level (-m) or the map's denominators (--scale, --translate)",
+    LatticePoints: "lower the level (-m) or the numerator of the map's --scale",
 }
 
 
@@ -594,8 +594,9 @@ def pushforward_check(
     constant and C' = C^(2 alpha), at every grid radius, and (iii)
     agreement of the critical-exponent fits computed independently on
     source and image clouds.  Each cloud is scanned once, for all of its
-    radii; the image is the exact lattice cloud of the map
-    (LatticePoints.image), so both sides decide their open balls on
+    radii; a translation moves no distance, so the image scanned is the
+    exact lattice cloud of x -> scale*x (LatticePoints.image), whatever
+    the map's translation, and both sides decide their open balls on
     integers.  u must live on a level graph of `ifs`; ValueError
     otherwise.
     """
@@ -640,7 +641,7 @@ def pushforward_check(
             "bound": c_float ** (alpha / p),
             "ok": observed <= c_float ** (alpha / p) * (1 + 1e-12),
         }
-    image = graph.image(transform.scale, transform.translation)
+    image = graph.image(transform.scale)
     img_radii = [r * s for r in float_radii]
     img_sums = _ball_sums(image, w, tuple(float_radii + img_radii), vals)
 

@@ -16,21 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .audit import audit_pair
-from .besov import (
-    FIT_WINDOW,
-    LipschitzMap,
-    _check_pair_budget,
-    critical_exponent_fit,
-    pushforward_check,
-)
-from .dirichlet import (
-    default_time_grid,
-    exit_time_profile,
-    graph_energy,
-    harmonic_extension,
-    heat_kernel_diag,
-)
+from . import audit, besov, dirichlet
 from .errors import (
     BudgetExceeded,
     ConvergenceError,
@@ -122,7 +108,7 @@ def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]
     """Build the level graph and resolve a named test function on it:
     (graph, values), the values per vertex or the harmonic GraphFunction."""
     if name == "harmonic":
-        u = harmonic_extension(ifs, level, _boundary_values(ifs, boundary))
+        u = dirichlet.harmonic_extension(ifs, level, _boundary_values(ifs, boundary))
         return u.graph, u
     if name in ("x", "y"):
         graph = build_level_graph(ifs, level)
@@ -179,10 +165,10 @@ def _cmd_renorm(args):
 def _cmd_harmonic(args):
     ifs = _load(args.system)
     vals = _boundary_values(ifs, args.boundary)
-    u = harmonic_extension(ifs, args.level, vals, method=args.method)
+    u = dirichlet.harmonic_extension(ifs, args.level, vals, method=args.method)
     renorm = renorm_factor(ifs)
-    raw = graph_energy(u, 1)
-    scaled = graph_energy(u, renorm.energy_scale)
+    raw = dirichlet.graph_energy(u, 1)
+    scaled = dirichlet.graph_energy(u, renorm.energy_scale)
     floats = [float(v) for v in u.values]
     payload = {
         "system": ifs.name,
@@ -204,7 +190,7 @@ def _cmd_harmonic(args):
 
 def _cmd_exit_fit(args):
     ifs = _load(args.system)
-    report = exit_time_profile(ifs, args.levels, start=args.start)
+    report = dirichlet.exit_time_profile(ifs, args.levels, start=args.start)
     payload = {"system": ifs.name, **report.to_json()}
     rows = [[m, float(t)] for m, t in report.rows]
     return payload, (["level", "expected_steps"], rows)
@@ -213,8 +199,8 @@ def _cmd_exit_fit(args):
 def _cmd_heat_fit(args):
     ifs = _load(args.system)
     laziness = float(_rational(args.laziness, "laziness"))
-    grid = default_time_grid(args.t_min, args.t_max, args.points)
-    profile = heat_kernel_diag(ifs, args.level, laziness=laziness, t_grid=grid)
+    grid = dirichlet.default_time_grid(args.t_min, args.t_max, args.points)
+    profile = dirichlet.heat_kernel_diag(ifs, args.level, laziness=laziness, t_grid=grid)
     payload = {"system": ifs.name, "level": args.level, **profile.to_json()}
     rows = [[t, p] for t, p in zip(profile.times, profile.diag_values)]
     return payload, (["t", "p_diag"], rows)
@@ -227,16 +213,16 @@ def _cmd_besov_fit(args):
             raise _ParseFailure(
                 "--sample supports coordinate functions only (x, y)"
             )
-        _check_pair_budget(args.sample)
+        besov._check_pair_budget(args.sample)
         source = sample_measure(ifs, depth=args.depth, count=args.sample, seed=args.seed)
         u = _coordinate(source, args.function)
     else:
         source, u = _graph_function(ifs, args.level, args.function, args.boundary)
-    window = (
-        float(_rational(args.r_min, "window edge")),
-        float(_rational(args.r_max, "window edge")),
+    window = tuple(
+        default if edge is None else float(_rational(edge, "window edge"))
+        for edge, default in zip((args.r_min, args.r_max), besov.FIT_WINDOW)
     )
-    estimate = critical_exponent_fit(source, u, r_window=window)
+    estimate = besov.critical_exponent_fit(source, u, r_window=window)
     payload = {
         "system": ifs.name,
         "function": args.function,
@@ -250,8 +236,8 @@ def _cmd_besov_fit(args):
 def _cmd_pushforward(args):
     ifs = _load(args.system)
     _, u = _graph_function(ifs, args.level, args.function, args.boundary)
-    transform = LipschitzMap(_rational(args.scale, "scale"), _point(args.translate))
-    report = pushforward_check(transform, ifs, u)
+    transform = besov.LipschitzMap(_rational(args.scale, "scale"), _point(args.translate))
+    report = besov.pushforward_check(transform, ifs, u)
     payload = {"system": ifs.name, "level": args.level, **report.to_json()}
     rows = [[row.r, row.lhs, row.bound, int(row.ok)] for row in report.rows]
     return payload, (["r", "image_oscillation", "bound", "ok"], rows)
@@ -286,7 +272,7 @@ def _cmd_compare(args):
             f"compare needs exactly two subjects "
             f"(systems and/or --constants), got {len(subjects)}"
         )
-    verdict = audit_pair(subjects[0], subjects[1])
+    verdict = audit.audit_pair(subjects[0], subjects[1])
     return verdict.to_json(), None
 
 
@@ -380,9 +366,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-m", "--level", type=int, default=7)
     p.add_argument("--function", choices=("harmonic", "x", "y"), default="harmonic")
     p.add_argument("--boundary", default=None, help="harmonic boundary values")
-    r_min, r_max = (format_rational(Fraction(r)) for r in FIT_WINDOW)
-    p.add_argument("--r-min", default=r_min, help=f"window lower edge (default {r_min})")
-    p.add_argument("--r-max", default=r_max, help=f"window upper edge (default {r_max})")
+    p.add_argument("--r-min", help="window lower edge (default from besov.FIT_WINDOW)")
+    p.add_argument("--r-max", help="window upper edge (default from besov.FIT_WINDOW)")
     p.add_argument("--sample", type=int, default=None, help="use N measure samples")
     p.add_argument("--depth", type=int, default=10, help="sampling word length")
     p.add_argument(

@@ -329,7 +329,7 @@ class LatticePoints:
     as Fractions, is built on first use and kept.  Equality compares the
     integers, which for one system and depth are equal exactly when the
     points are.  The ball scans of besov decide every open ball on these
-    integers; image() maps them exactly under x -> scale*x + shift."""
+    integers; image() maps them exactly under x -> scale*x."""
 
     numerators: tuple[tuple[int, int], ...]
     denominator: int
@@ -354,18 +354,13 @@ class LatticePoints:
         den = self.denominator
         return np.array([(ax / den, ay / den) for ax, ay in self.numerators])
 
-    def image(self, scale: Fraction, shift: Point) -> "LatticePoints":
-        """The points scale*v + shift, exactly, over one denominator.
-
-        With scale = s_n/s_d, shift = (t_x, t_y) and T the lcm of the
-        shift's denominators, scale*(a/D) + t_x is the integer
-        s_n*T*a + t_x*T*s_d*D over s_d*D*T, and likewise in y."""
-        tx, ty = shift
-        lcm = math.lcm(tx.denominator, ty.denominator)
-        den = scale.denominator * self.denominator * lcm
-        m = scale.numerator * lcm
-        ox, oy = int(tx * den), int(ty * den)
-        return LatticePoints(tuple((m * ax + ox, m * ay + oy) for ax, ay in self.numerators), den)
+    def image(self, scale: Fraction) -> "LatticePoints":
+        """The points scale*v, exactly: with scale = s_n/s_d, scale*(a/D)
+        is the integer s_n*a over s_d*D."""
+        m = scale.numerator
+        return LatticePoints(
+            tuple((m * ax, m * ay) for ax, ay in self.numerators), scale.denominator * self.denominator
+        )
 
 
 @dataclass(frozen=True)

@@ -211,12 +211,27 @@ class TestBallSums:
         self.assert_brute(first(s, 60), radii)
 
     def test_translated_image_mixed_denominators(self, monkeypatch, sg, hook):
+        # the translated image over the lcm of its mixed denominators sums
+        # as the brute force does, and as the untranslated image that
+        # pushforward_check scans
         monkeypatch.setattr(besov, "PAIR_BLOCK", 64)
+        radii = [0.5, 0.2, 1 / 7, 1 / 21, 1 / 9]
         for ifs, scale in ((sg, F(1, 3)), (hook, F(5, 2))):
             g = build_level_graph(ifs, 2)
-            image = g.image(scale, (F(2, 7), F(-5, 3)))
-            assert image.points == tuple(LipschitzMap(scale, (F(2, 7), F(-5, 3))).apply(p) for p in g.points)
-            self.assert_brute(image, [0.5, 0.2, 1 / 7, 1 / 21, 1 / 9])
+            points = tuple(map(LipschitzMap(scale, (F(2, 7), F(-5, 3))).apply, g.points))
+            den = math.lcm(*(c.denominator for p in points for c in p))
+            translated = LatticePoints(tuple((int(x * den), int(y * den)) for x, y in points), den)
+            assert translated.points == points
+            self.assert_brute(translated, radii)
+            n = g.vertex_count
+            w, vals = np.linspace(0.5, 1.5, n), np.linspace(-1.0, 1.0, n)
+            for moved, still in zip(
+                _ball_sums(translated, w, radii, vals), _ball_sums(g.image(scale), w, radii, vals), strict=True
+            ):
+                assert moved[0].tolist() == still[0].tolist()
+                assert moved[2] == still[2]
+                assert moved[1] == pytest.approx(still[1], rel=1e-12, abs=0)
+                assert moved[3] == pytest.approx(still[3], rel=1e-12, abs=0)
 
     def test_numerator_limit_refused_before_any_block(self, sg, monkeypatch):
         s = sample_measure(sg, 30, 4, seed=2)  # D = 2^31
@@ -833,9 +848,9 @@ class TestLatticeFloats:
     @pytest.mark.parametrize("name, m", LATTICE_GRAPHS)
     def test_image_cloud_equals_fraction_floats(self, lattice_systems, name, m, scale):
         g = build_level_graph(lattice_systems[name], m)
-        t = LipschitzMap(scale, (F(2, 7), F(-5, 3)))
-        img = g.image(t.scale, t.translation)
-        assert img.points == tuple(map(t.apply, g.vertices))
+        img = g.image(scale)
+        assert img.points == tuple(map(LipschitzMap(scale, (F(0), F(0))).apply, g.vertices))
+        assert img.float_points().tolist() == [[float(x), float(y)] for x, y in img.points]
 
     def test_pushforward_scans_the_fraction_image(self, sg, monkeypatch):
         clouds = []
@@ -849,4 +864,6 @@ class TestLatticeFloats:
         u = harmonic_on(sg, 5)
         t = LipschitzMap(F(1, 3), (F(1, 7), F(-2, 5)))
         pushforward_check(t, sg, u)
-        assert clouds == [u.graph.vertices, tuple(map(t.apply, u.graph.vertices))]
+        # a translation moves no distance: the image scanned is x -> x/3's
+        untranslated = LipschitzMap(t.scale, (F(0), F(0)))
+        assert clouds == [u.graph.vertices, tuple(map(untranslated.apply, u.graph.vertices))]

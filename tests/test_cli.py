@@ -328,6 +328,19 @@ class TestPushforward:
         assert rc == 0
         assert payload["exact_invariance"] is True
 
+    def test_translation_changes_nothing(self, capsys):
+        # the shift's denominator would put the translated image's
+        # numerators past besov.MAX_SCAN_NUMERATOR; the scan never sees it
+        argv = ("pushforward", "sg", "-m", "5", "--scale", "1/2")
+        assert run(capsys, *argv, "--translate", "1/1000000007,0") == run(capsys, *argv)
+
+    def test_scale_numerator_refusal_names_scale(self, capsys):
+        rc, payload = run(capsys, "pushforward", "sg", "-m", "5", "--scale", "1000000007/2")
+        assert rc == 1
+        assert payload["error"] == "budget"
+        assert "--scale" in payload["detail"]
+        assert "--translate" not in payload["detail"]
+
 
 @pytest.mark.parametrize("command", ["besov-fit", "pushforward"])
 def test_level_graph_built_once(capsys, monkeypatch, command):
@@ -493,13 +506,14 @@ EXACT_COMMANDS = (
 )
 
 _NO_FLOAT_STACK = """
-import contextlib, io, sys
+import contextlib, io, sys, types
 import walkdim, walkdim.cli
 for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert walkdim.cli.main(line.split()) == 0, line
 loaded = sorted({"numpy", "scipy"} & set(sys.modules))
 assert not loaded, f"exact commands loaded {loaded}"
+assert type(sys.modules["walkdim.besov"]) is not types.ModuleType, "exact commands ran besov"
 for line in (
     "heat-fit sg -m 5",
     "besov-fit sg -m 5",
@@ -529,6 +543,45 @@ def test_exact_commands_load_no_numpy_or_scipy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# A layer module has run iff it is no longer the lazy module type.
+_LAYERS_RUN = """
+import contextlib, io, sys, types
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+layers = ("audit", "besov", "dirichlet", "errors", "ifs", "levelgraph", "logratio", "network", "rational")
+print(*(name for name in layers if type(sys.modules["walkdim." + name]) is types.ModuleType))
+"""
+
+
+def layers_run(code: str, *argv: str) -> set:
+    """The walkdim layers that `code` runs in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYERS_RUN, code, *argv],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("line", EXACT_COMMANDS)
+def test_exact_command_runs_only_its_layers(line):
+    command = line.split()[0]
+    ran = layers_run("import walkdim.cli; assert walkdim.cli.main(sys.argv[2:]) == 0", *line.split())
+    assert "besov" not in ran
+    assert ("dirichlet" in ran) == (command in ("exit-fit", "harmonic"))
+    assert ("audit" in ran) == (command == "compare")
+
+
+def test_loading_and_composing_runs_no_graph_layers():
+    # the set-up a library caller pays before any graph, solve or scan
+    ran = layers_run("import walkdim; sg = walkdim.load_system('sg'); walkdim.compose(sg, sg)")
+    assert ran.isdisjoint({"network", "levelgraph", "dirichlet", "besov", "audit"})
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

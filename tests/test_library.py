@@ -42,3 +42,7 @@ def test_audit_verdict(library_example):
 
 def test_exported_names_resolve():
     assert [name for name in walkdim.__all__ if not hasattr(walkdim, name)] == []
+    assert set(walkdim.__all__) <= set(dir(walkdim))
+    namespace: dict = {}
+    exec("from walkdim import *", namespace)
+    assert sorted(set(walkdim.__all__) - set(namespace)) == []
