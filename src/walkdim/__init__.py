@@ -8,10 +8,9 @@ values, and a certified pairwise non-equivalence audit.
 Each layer module below is registered with `importlib.util.LazyLoader`:
 it sits in `sys.modules` and on the package from the start and runs on
 first attribute access, so a caller runs (and compiles) only the layers
-it uses.  The re-exported names resolve through `__getattr__`.  numpy
-is imported inside the float estimators, so the exact routes run
-without it; scipy only inside `alfors_check`, for ball counts on
-measure samples.
+it uses.  The re-exported names resolve through `__getattr__`.  numpy,
+the one dependency, is imported inside the float estimators, so the
+exact routes run without it.
 """
 
 import importlib.util

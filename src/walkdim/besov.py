@@ -9,14 +9,13 @@ numerators over one denominator (ifs.LatticePoints), and every open
 ball is decided on those integers, exactly at any radius: d(x, y) < r
 iff the squared numerator distance is at most ceil(r^2*D^2) - 1.
 
-One kernel, _ball_sums, serves every Besov and pushforward scan and
-the regularity volumes of a level graph: it sorts the cloud by (x, y),
-computes the squared distances of each block of rows against the
-x-window of its largest ball, and adds each ball's masked row and
-column sums into per-point sums; no pair outlives its block.  The
-pushforward audit makes one such scan per cloud, the image an exact
-lattice cloud too.  The regularity counts of alfors_check on a measure
-sample use a k-d tree on the same integers.
+One kernel, _ball_sums, serves every Besov and pushforward scan: it
+sorts the cloud by (x, y), computes the squared distances of each block
+of rows against the x-window of its largest ball, and adds each ball's
+masked row and column sums into per-point sums; no pair outlives its
+block.  The pushforward audit makes one such scan per cloud, the image
+an exact lattice cloud too.  alfors_check counts every regularity ball,
+of a sample or a level graph, with _ball_masses on integer weights.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 from .dirichlet import GraphFunction, _loglog_fit
 from .errors import BudgetExceeded, FitError
 from .ifs import IfsSpec, LatticePoints, MeasureSample, hausdorff_dim
-from .levelgraph import LevelGraph, _float_measure_weights
+from .levelgraph import LevelGraph, _cell_counts, _float_measure_weights
 from .rational import as_fraction, as_point, format_rational
 
 if TYPE_CHECKING:
@@ -64,7 +63,7 @@ def _weights(source: PointSource) -> np.ndarray:
 
 
 def _check_pair_budget(n: int) -> None:
-    # quadratic pair enumeration; ball *counting* paths are exempt
+    # quadratic pair enumeration; a sample's strided ball counts are exempt
     if n > MAX_SCAN_POINTS:
         remedy = "use fewer points or a lower level (fixed limit besov.MAX_SCAN_POINTS)"
         raise BudgetExceeded(n, MAX_SCAN_POINTS, "pair-scan points", remedy)
@@ -99,7 +98,7 @@ def _radius_grid(r_grid: Optional[Sequence[float]]) -> tuple:
     return radii
 
 
-# Candidate entries per block of the ball-sum scan (128 KB of int32 d^2).
+# Candidate entries per block of a ball scan (128 KB of int32 d^2).
 PAIR_BLOCK = 2 ** 15
 # Numerators of a pair scan stay below this, so that squared numerator
 # distances, below 2 * (2^31)^2 = 2^63, are exact int64.
@@ -129,90 +128,104 @@ def _check_numerators(points: LatticePoints) -> None:
         raise BudgetExceeded(top, MAX_SCAN_NUMERATOR, "lattice numerator", remedy)
 
 
-def _ball_sums(
-    points: LatticePoints,
-    w: np.ndarray,
-    radii: Sequence[float],
-    vals: Optional[np.ndarray] = None,
-) -> list[tuple[np.ndarray, float, int, float]]:
-    """Per radius, in the given order: (volumes, raw, pairs, integral)
-    over the open balls B(x, r), d(x, y) < r strictly, of every point x.
-
-    volumes are w_x plus w_y over the ball (never 0); osc_x is the ball's
-    sum of w_y*(u(x)-u(y))^2; raw sums w_x*osc_x/volume_x and integral
-    sums w_x*osc_x (both 0 when vals is None); pairs counts i < j in a
-    ball.  Arrays are in the input order of the points.
-
-    A ball is decided on the integer numerators over the one
-    denominator D: d(x, y) < r iff the squared numerator distance is at
-    most L = ceil(r^2*D^2) - 1 (_open_ball_bound), exact at any radius.
-    The cloud is sorted by (x, y).  Each block of consecutive rows i
-    meets the columns j > i with x_j <= x_last + isqrt(L) of its largest
-    ball, found by np.searchsorted, and holds as many rows as keep it
-    within PAIR_BLOCK entries (one row may exceed it).  The block
-    computes its squared distances and (u(x)-u(y))^2 once; each ball
-    masks its own x-window of them and adds the masked row and column
-    sums of w and of w*(u(x)-u(y))^2 with np.einsum, which sums in one
-    order on any BLAS and thread count.  So the sums are deterministic,
-    and depend on the other radii only through the blocks.  20000 sg
-    sample points at r = 1/64 take about 0.05 s (2-core x86-64,
-    CPython 3.11, numpy 2.4).  The pair-scan and numerator limits are
-    checked before the cloud is sorted.
-    """
+def _sorted_cloud(points: LatticePoints, radii: Sequence[float]) -> tuple:
+    """(order, x, bound, top, squared), after the numerator check, of the
+    cloud sorted by (x, y) and shifted to 0 (its point p is
+    points[order[p]]): its x coordinates; per radius the bound L, capped
+    at the largest d^2, top; and squared(rows, first, cols), the d^2 of
+    the sorted points rows (a slice or index array) to the cols points
+    from first, int32 where top fits, in buffers reused across blocks."""
     import numpy as np
 
     n = len(points.numerators)
-    _check_pair_budget(n)
     _check_numerators(points)
     xy = np.array(points.numerators, dtype=np.int64).reshape(n, 2)
     order = np.lexsort((xy[:, 1], xy[:, 0]))
     xy = xy[order]
     if n:
         xy -= xy.min(axis=0)  # distances are translation-invariant
-    # the distinct bounds L, increasing, none above the largest d^2
     top = sum(side * side for side in (xy.max(axis=0).tolist() if n else ()))
     bound = [min(_open_ball_bound(r, points.denominator), top) for r in radii]
-    balls = sorted(set(bound))
-    k = len(balls)
     # int32 squared distances where they fit, with the sentinel top + 1
     dtype = np.int32 if top < 2 ** 31 - 1 else np.int64
     x, y = np.ascontiguousarray(xy.T, dtype=dtype)
+    bufs = np.empty(max(PAIR_BLOCK, n), dtype), np.empty(max(PAIR_BLOCK, n), dtype)
+
+    def squared(rows, first: int, cols: int) -> np.ndarray:
+        d2, dy = (buf[: x[rows].size * cols].reshape(-1, cols) for buf in bufs)
+        for axis, out in ((x, d2), (y, dy)):
+            np.subtract(axis[rows, None], axis[first : first + cols], out=out)
+            np.multiply(out, out, out=out)
+        d2 += dy
+        return d2
+
+    return order, x, bound, top, squared
+
+
+def _block_rows(most: int, entries) -> int:
+    """The most rows, 1 to most, whose block holds entries(rows) <=
+    PAIR_BLOCK entries (one row may exceed it); entries grows with rows."""
+    rows, most = 1, min(most, PAIR_BLOCK // max(entries(1), 1))
+    while rows < most:
+        mid = (rows + most + 1) // 2
+        if entries(mid) <= PAIR_BLOCK:
+            rows = mid
+        else:
+            most = mid - 1
+    return rows
+
+
+def _ball_sums(
+    points: LatticePoints, w: np.ndarray, radii: Sequence[float], vals: np.ndarray
+) -> list[tuple[np.ndarray, float, int, float]]:
+    """Per radius, in the given order: (volumes, raw, pairs, integral)
+    over the open balls B(x, r), d(x, y) < r strictly, of every point x.
+
+    volumes are w_x plus w_y over the ball (never 0); osc_x is the ball's
+    sum of w_y*(u(x)-u(y))^2; raw sums w_x*osc_x/volume_x and integral
+    sums w_x*osc_x; pairs counts i < j in a ball.  Arrays are in the
+    input order of the points.
+
+    A ball is d^2 <= L = ceil(r^2*D^2) - 1 on the numerators over the
+    denominator D (_open_ball_bound), exact at any radius, on the cloud
+    sorted by _sorted_cloud.  Each block of consecutive rows i meets the
+    columns j > i with x_j <= x_last + isqrt(L) of its largest ball
+    (np.searchsorted), within PAIR_BLOCK entries (_block_rows), and
+    computes its d^2 and (u(x)-u(y))^2 once; each ball masks its own
+    x-window of them and adds the masked row and column sums of w and of
+    w*(u(x)-u(y))^2 with np.einsum, which sums in one order on any BLAS
+    and thread count.  So the sums are deterministic, and depend on the
+    other radii only through the blocks.  20000 sg sample points at
+    r = 1/64 take about 0.05 s (2-core x86-64, CPython 3.11, numpy 2.4).
+    The pair-scan and numerator limits are checked before the sort.
+    """
+    import numpy as np
+
+    n = len(points.numerators)
+    _check_pair_budget(n)
+    order, x, bound, top, squared = _sorted_cloud(points, radii)
+    balls = sorted(set(bound))  # the distinct bounds, increasing
+    k = len(balls)
     ends = [np.searchsorted(x, x + math.isqrt(b), "right") for b in balls]
     reach = ends[-1].tolist()
-    w_s = w[order]
-    u = None if vals is None else vals[order]
+    w_s, u = w[order], vals[order]
     size = max(PAIR_BLOCK, n)  # one row may exceed PAIR_BLOCK
-    d2_buf, dy_buf = np.empty(size, dtype), np.empty(size, dtype)
     du2_buf, mask_buf, in_buf = np.empty(size), np.empty(size), np.empty(size, bool)
     volume = np.zeros((k, n))
     osc = np.zeros((k, n))
     pairs = [0] * k
     start = 0
     while start < n - 1:
-        # the most rows whose window holds at most PAIR_BLOCK entries
-        rows, most = 1, n - 1 - start
-        while rows < most:
-            mid = (rows + most + 1) // 2
-            if mid * (reach[start + mid - 1] - start - 1) <= PAIR_BLOCK:
-                rows = mid
-            else:
-                most = mid - 1
+        rows = _block_rows(n - 1 - start, lambda r: r * (reach[start + r - 1] - start - 1))
         stop = start + rows
         first, cols = start + 1, reach[stop - 1] - start - 1
         if cols > 0:
             # entry (a, b) is the pair (start + a, first + b), so i < j iff a <= b
-            d2 = d2_buf[: rows * cols].reshape(rows, cols)
-            dy = dy_buf[: rows * cols].reshape(rows, cols)
-            np.subtract(x[start:stop, None], x[first : first + cols], out=d2)
-            np.multiply(d2, d2, out=d2)
-            np.subtract(y[start:stop, None], y[first : first + cols], out=dy)
-            np.multiply(dy, dy, out=dy)
-            d2 += dy
+            d2 = squared(slice(start, stop), first, cols)
             d2[:, :rows][np.tri(rows, min(rows, cols), -1, dtype=bool)] = top + 1
-            if u is not None:
-                du2 = du2_buf[: rows * cols].reshape(rows, cols)
-                np.subtract(u[start:stop, None], u[first : first + cols], out=du2)
-                np.multiply(du2, du2, out=du2)
+            du2 = du2_buf[: rows * cols].reshape(rows, cols)
+            np.subtract(u[start:stop, None], u[first : first + cols], out=du2)
+            np.multiply(du2, du2, out=du2)
             w_rows = w_s[start:stop]
             for t in range(k):
                 c = int(ends[t][stop - 1]) - first
@@ -226,10 +239,9 @@ def _ball_sums(
                 w_cols = w_s[first : first + c]
                 volume[t, start:stop] += np.einsum("ij,j->i", mask, w_cols)
                 volume[t, first : first + c] += np.einsum("ij,i->j", mask, w_rows)
-                if u is not None:
-                    np.multiply(mask, du2[:, :c], out=mask)
-                    osc[t, start:stop] += np.einsum("ij,j->i", mask, w_cols)
-                    osc[t, first : first + c] += np.einsum("ij,i->j", mask, w_rows)
+                np.multiply(mask, du2[:, :c], out=mask)
+                osc[t, start:stop] += np.einsum("ij,j->i", mask, w_cols)
+                osc[t, first : first + c] += np.einsum("ij,i->j", mask, w_rows)
         start = stop
     volume[:, order] = volume.copy()
     osc[:, order] = osc.copy()
@@ -240,6 +252,43 @@ def _ball_sums(
         w_osc = w * osc[t]
         sums.append((ball, float(np.sum(w_osc / ball)), pairs[t], float(np.sum(w_osc))))
     return sums
+
+
+def _ball_masses(
+    points: LatticePoints, centers: Sequence[int], radii: Sequence[float], weights: np.ndarray
+) -> np.ndarray:
+    """Per radius (rows) and center index c (columns), in the given
+    orders, the weight of the open ball B(c, r), c's own included, with
+    _ball_sums' integer balls.  The centers go in x order, in blocks
+    within PAIR_BLOCK entries of the x-window of the largest ball; each
+    radius multiplies the mask of its own x-window by the weights, so
+    integer-valued weights (summing below 2^53) give exact integer
+    masses in any BLAS summation order."""
+    import numpy as np
+
+    order, x, bound, _, squared = _sorted_cloud(points, radii)
+    w = weights[order]
+    at = np.argsort(order)[np.array(centers, dtype=np.intp)]
+    back = np.argsort(at)
+    at = at[back]  # the centers' places in the sorted cloud, increasing
+    lo = [np.searchsorted(x, x[at] - math.isqrt(b), "left").tolist() for b in bound]
+    hi = [np.searchsorted(x, x[at] + math.isqrt(b), "right").tolist() for b in bound]
+    big = bound.index(max(bound))
+    in_buf = np.empty(max(PAIR_BLOCK, len(x)), bool)
+    mass = np.empty((len(bound), len(at)))
+    start = 0
+    while start < len(at):
+        first = lo[big][start]
+        rows = _block_rows(len(at) - start, lambda r: r * (hi[big][start + r - 1] - first))
+        stop = start + rows
+        d2 = squared(at[start:stop], first, hi[big][stop - 1] - first)
+        for t, b in enumerate(bound):
+            a, c = lo[t][start] - first, hi[t][stop - 1] - first
+            inside = in_buf[: rows * (c - a)].reshape(rows, c - a)
+            np.less_equal(d2[:, a:c], b, out=inside)
+            mass[t, start:stop] = inside @ w[first + a : first + c]
+        start = stop
+    return mass[:, np.argsort(back)]
 
 
 @dataclass(frozen=True)
@@ -410,18 +459,6 @@ class AlforsReport:
 
 DRIFT_THRESHOLD = 4.0
 MAX_ALFORS_CENTERS = 20000
-# Largest lattice denominator D of a uniform regularity count.  With
-# r < 1 the squared numerator distances that decide a ball stay below
-# D^2 <= 2^50, where they are exact floats and the query radius
-# sqrt(L + 1/2), squared, lies within 3/8 of L + 1/2.
-MAX_BALL_DENOMINATOR = 2 ** 25
-
-
-def _open_ball_radius(r: float, den: int) -> float:
-    """The query radius whose closed ball on integer numerators over den
-    is the open ball of radius r (its exact value): sqrt(L + 1/2), with
-    L = _open_ball_bound(r, den)."""
-    return math.sqrt(_open_ball_bound(r, den) + 0.5)
 
 
 def _regularity_volumes(
@@ -429,11 +466,10 @@ def _regularity_volumes(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(center weights, per radius the ball volumes at the centers),
     computed once per (radii, centers) and kept in source.ball_volumes.
-
-    A measure sample counts with a k-d tree on its integer numerators at
-    an evenly strided subset of at most max_centers centers, exactly at
-    any radius; a level graph sums the weights of every vertex's ball
-    with _ball_sums."""
+    _ball_masses counts them on integer weights: 1 per point of a
+    sample, at an evenly strided subset of at most max_centers centers;
+    a vertex's cell count (_cell_counts) on a level graph, at every
+    vertex, within the pair-scan limit."""
     import numpy as np
 
     uniform = isinstance(source, MeasureSample)
@@ -444,26 +480,13 @@ def _regularity_volumes(
     key = (radii, centers)
     if key in source.ball_volumes:
         return source.ball_volumes[key]
-    if uniform:
-        from scipy.spatial import cKDTree
-
-        den = source.denominator
-        if den > MAX_BALL_DENOMINATOR:
-            remedy = "lower the sampling depth (fixed limit besov.MAX_BALL_DENOMINATOR)"
-            raise BudgetExceeded(den, MAX_BALL_DENOMINATOR, "lattice denominator", remedy)
-        coords = np.array(source.numerators, dtype=float)
-        tree = cKDTree(coords)
-        volumes = tuple(
-            tree.query_ball_point(coords[centers], _open_ball_radius(r, den), return_length=True)
-            * (1.0 / n)
-            for r in radii
-        )
-        center_w = np.full(len(centers), 1.0 / len(centers))
-    else:
-        center_w = _weights(source)
-        volumes = tuple(volume for volume, _, _, _ in _ball_sums(source, center_w, radii))
-    source.ball_volumes[key] = center_w, volumes
-    return center_w, volumes
+    if not uniform:
+        _check_pair_budget(n)
+    w = np.ones(n) if uniform else np.array(_cell_counts(source)[0], dtype=float)
+    mass = _ball_masses(source, centers, radii, w)
+    w_c = w[np.array(centers, dtype=np.intp)]
+    source.ball_volumes[key] = w_c / w_c.sum(), tuple(mass * (1.0 / w.sum()))
+    return source.ball_volumes[key]
 
 
 def alfors_check(
@@ -482,11 +505,10 @@ def alfors_check(
     bounds the ratio above and below; the drift (largest-to-smallest
     mean ratio across scales) flags a misspecified exponent, which bends
     the ratios geometrically in r.  r_grid (default dyadic_grid(1, 6),
-    radii in (0,1)): open balls are exact at any radius, a sample's with
-    its lattice denominator at most MAX_BALL_DENOMINATOR (BudgetExceeded
-    otherwise), a level graph's with its numerators below
-    MAX_SCAN_NUMERATOR.  The volumes do not depend on alpha and are
-    counted once per (radii, centers) on each source object.
+    radii in (0,1)): open balls are exact at any radius, with the
+    lattice numerators below MAX_SCAN_NUMERATOR (BudgetExceeded
+    otherwise).  The volumes do not depend on alpha and are counted once
+    per (radii, centers) on each source object.
     """
     import numpy as np
 

@@ -236,7 +236,7 @@ def _cmd_besov_fit(args):
 def _cmd_pushforward(args):
     ifs = _load(args.system)
     _, u = _graph_function(ifs, args.level, args.function, args.boundary)
-    transform = besov.LipschitzMap(_rational(args.scale, "scale"), _point(args.translate))
+    transform = besov.LipschitzMap(_rational(args.scale, "scale"), (0, 0))
     report = besov.pushforward_check(transform, ifs, u)
     payload = {"system": ifs.name, "level": args.level, **report.to_json()}
     rows = [[row.r, row.lhs, row.bound, int(row.ok)] for row in report.rows]
@@ -383,7 +383,6 @@ def _build_parser() -> _Parser:
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=6)
     p.add_argument("--scale", default="1/2", help="similarity ratio of the map")
-    p.add_argument("--translate", default="0,0", help="translation dx,dy")
     p.add_argument("--function", choices=("harmonic",), default="harmonic")
     p.add_argument("--boundary", default=None)
     p.set_defaults(func=_cmd_pushforward)

@@ -135,8 +135,6 @@ class TestBallSums:
             np.testing.assert_allclose(volume, ball_volumes_brute(pts, w, r), rtol=1e-12)
             assert raw == pytest.approx(besov_raw_brute(pts, w, vals, r), rel=1e-12)
             assert integral == pytest.approx(oscillation_brute(pts, w, vals, r), rel=1e-12)
-        for volume, raw, pairs, integral in _ball_sums(cloud, w, radii):
-            assert (raw, integral) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "system, level, radii",
@@ -168,12 +166,12 @@ class TestBallSums:
     def test_duplicate_points(self, monkeypatch):
         monkeypatch.setattr(besov, "PAIR_BLOCK", 5)
         self.assert_brute(DUPLICATES, [0.5, 0.125, 0.001])
-        assert _ball_sums(DUPLICATES, np.ones(5), [0.001])[0][2] == 3
+        assert _ball_sums(DUPLICATES, np.ones(5), [0.001], np.zeros(5))[0][2] == 3
 
     def test_radius_above_diameter(self, sg):
         g = build_level_graph(sg, 2)
         n = g.vertex_count
-        assert _ball_sums(g, np.ones(n), [1.5, 0.5])[0][2] == n * (n - 1) // 2
+        assert _ball_sums(g, np.ones(n), [1.5, 0.5], np.zeros(n))[0][2] == n * (n - 1) // 2
         self.assert_brute(g, [1.5, 0.5])
 
     @pytest.mark.parametrize("block", [14, 20, 64])
@@ -504,20 +502,47 @@ class TestAlfors:
             alfors_check(s, ALPHA, max_centers=max_centers)
 
     def test_sg_dyadic_rows_match_float_route(self, sg):
-        # dyadic radii on dyadic coordinates: the float open-ball query
-        # is exact, so the integer route must agree to the last bit
-        from scipy.spatial import cKDTree
-
+        # dyadic radii on dyadic coordinates: the float open-ball test
+        # d^2 <= nextafter(r, 0)^2 is exact, so the integer route must
+        # agree to the last bit
         s = sample_measure(sg, 12, 6000, seed=11)
         pts = s.float_points()
-        tree, n = cKDTree(pts), len(pts)
+        n = len(pts)
         rows = []
         for r in dyadic_grid(1, 6):
-            counts = tree.query_ball_point(pts, np.nextafter(r, 0.0), return_length=True)
+            inner = np.nextafter(r, 0.0)
+            counts = np.concatenate([
+                (((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= inner * inner).sum(axis=1)
+                for chunk in np.array_split(pts, 12)
+            ])
             ratios = counts * (1.0 / n) / r ** ALPHA
             mean = np.sum(np.full(n, 1.0 / n) * ratios)
             rows.append(AlforsRow(r, float(ratios.min()), float(ratios.max()), float(mean)))
         assert alfors_check(s, ALPHA).rows == tuple(rows)
+
+    @pytest.mark.parametrize("block", [besov.PAIR_BLOCK, 64])
+    @pytest.mark.parametrize("system", ["sg", "hook"])
+    def test_strided_centers_equal_exact_counts(self, request, monkeypatch, system, block):
+        # max_centers < n: the counts at every strided center are the
+        # exact oracle's, the center included, on one-row and many-row blocks
+        monkeypatch.setattr(besov, "PAIR_BLOCK", block)
+        s = sample_measure(request.getfixturevalue(system), 6, 900, seed=5)
+        radii = (1 / 3, 1 / 81) + dyadic_grid(1, 6)
+        center_w, volumes = besov._regularity_volumes(s, radii, 70)
+        centers = list(range(0, 900, 900 // 70))[:70]
+        assert center_w.tolist() == [1 / 70] * 70
+        for r, volume in zip(radii, volumes):
+            counts = open_ball_counts_exact(s.points, r)[centers] + 1
+            assert volume.tolist() == (counts * (1.0 / 900)).tolist()
+
+    def test_hook_graph_volumes_match_brute_oracle(self, hook):
+        g = build_level_graph(hook, 3)
+        w = np.array([float(v) for v in vertex_measure_weights(g)])
+        radii = (0.3, 1 / 9) + dyadic_grid(1, 6)
+        center_w, volumes = besov._regularity_volumes(g, radii, 1)
+        assert center_w.tolist() == w.tolist()
+        for r, volume in zip(radii, volumes):
+            np.testing.assert_allclose(volume, ball_volumes_brute(g.vertices, w, r), rtol=1e-12)
 
     def test_volumes_match_brute_oracle(self, sg):
         g = build_level_graph(sg, 3)
@@ -534,37 +559,16 @@ class TestAlfors:
 
 
 @pytest.fixture
-def tree_log(monkeypatch):
-    """("build", n) and ("query", r) for every k-d tree that alfors_check
-    builds and queries, in order."""
-    import scipy.spatial
-
+def mass_log(monkeypatch):
+    """(centers, radii) of every _ball_masses count, in order."""
     log = []
+    ball_masses = besov._ball_masses
 
-    class SpyTree(scipy.spatial.cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            log.append(("build", len(data)))
-            super().__init__(data, *args, **kwargs)
+    def spy(points, centers, radii, weights):
+        log.append((centers, tuple(radii)))
+        return ball_masses(points, centers, radii, weights)
 
-        def query_ball_point(self, x, r, *args, **kwargs):
-            log.append(("query", r))
-            return super().query_ball_point(x, r, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
-    return log
-
-
-@pytest.fixture
-def scan_log(monkeypatch):
-    """The radii of every _ball_sums scan, in order."""
-    log = []
-    ball_sums = besov._ball_sums
-
-    def spy(points, w, radii, vals=None):
-        log.append(tuple(radii))
-        return ball_sums(points, w, radii, vals)
-
-    monkeypatch.setattr(besov, "_ball_sums", spy)
+    monkeypatch.setattr(besov, "_ball_masses", spy)
     return log
 
 
@@ -572,67 +576,82 @@ class TestAlforsMemo:
     """Ball volumes do not depend on alpha: each source object counts
     them once per (radii, centers)."""
 
-    def test_sample_second_alpha_queries_nothing(self, sg, tree_log):
+    def test_sample_second_alpha_queries_nothing(self, sg, mass_log):
         s = sample_measure(sg, 10, 2000, seed=7)
         alfors_check(s, ALPHA)
-        assert [what for what, _ in tree_log] == ["build"] + ["query"] * 6
+        assert mass_log == [(range(2000), dyadic_grid(1, 6))]
         again = alfors_check(s, 1.0)
-        assert len(tree_log) == 7
+        assert len(mass_log) == 1
         fresh = alfors_check(sample_measure(sg, 10, 2000, seed=7), 1.0)
         assert again == fresh
 
-    def test_graph_second_alpha_scans_nothing(self, sg, scan_log):
+    def test_graph_second_alpha_scans_nothing(self, sg, mass_log):
         g = build_level_graph(sg, 4)
         alfors_check(g, ALPHA)
         again = alfors_check(g, 1.0)
-        assert scan_log == [dyadic_grid(1, 6)]
+        assert mass_log == [(range(g.vertex_count), dyadic_grid(1, 6))]
         fresh = alfors_check(build_level_graph(sg, 4), 1.0)
         assert again == fresh
 
-    def test_sample_new_grid_or_centers_queries_again(self, sg, tree_log):
+    def test_sample_new_grid_or_centers_queries_again(self, sg, mass_log):
         s = sample_measure(sg, 10, 2000, seed=7)
         for _ in range(2):
             alfors_check(s, ALPHA)
             alfors_check(s, ALPHA, r_grid=[0.5, 0.1])
             alfors_check(s, ALPHA, max_centers=100)
-        queries = [r for what, r in tree_log if what == "query"]
-        assert len(queries) == 6 + 2 + 6
+        assert mass_log == [
+            (range(2000), dyadic_grid(1, 6)),
+            (range(2000), (0.5, 0.1)),
+            (range(0, 2000, 20), dyadic_grid(1, 6)),
+        ]
         assert len(s.ball_volumes) == 3
 
-    def test_graph_new_grid_scans_again(self, sg, scan_log):
+    def test_graph_new_grid_scans_again(self, sg, mass_log):
         g = build_level_graph(sg, 4)
         for _ in range(2):
             alfors_check(g, ALPHA)
             alfors_check(g, ALPHA, r_grid=[0.5, 0.1])
-        assert scan_log == [dyadic_grid(1, 6), (0.5, 0.1)]
+        assert [radii for _, radii in mass_log] == [dyadic_grid(1, 6), (0.5, 0.1)]
 
-    def test_equal_separate_objects_count_again(self, sg, tree_log, scan_log):
+    def test_equal_separate_objects_count_again(self, sg, mass_log):
         samples = [sample_measure(sg, 10, 500, seed=3) for _ in range(2)]
         graphs = [build_level_graph(sg, 3) for _ in range(2)]
         assert samples[0] == samples[1] and samples[0] is not samples[1]
         assert graphs[0] == graphs[1] and graphs[0] is not graphs[1]
         for source in samples + graphs:
             alfors_check(source, ALPHA)
-        assert [what for what, _ in tree_log].count("build") == 2
-        assert len(scan_log) == 2
+        assert len(mass_log) == 4
 
 
 class TestBallDenominator:
-    """A sample's exact ball counts need its lattice denominator D at
-    most besov.MAX_BALL_DENOMINATOR; sg at depth k has D = 2^(k+1)."""
+    """A sample's exact ball counts need its lattice numerators below
+    besov.MAX_SCAN_NUMERATOR; sg at depth k has D = 2^(k+1)."""
 
     def test_depth_24_runs(self, sg):
         s = sample_measure(sg, 24, 5, seed=1)
-        assert s.denominator == besov.MAX_BALL_DENOMINATOR
+        assert s.denominator == 2 ** 25
         rep = alfors_check(s, ALPHA)
         assert [row.r for row in rep.rows] == list(dyadic_grid(1, 6))
 
-    def test_depth_25_refused_before_any_tree(self, sg, tree_log):
-        s = sample_measure(sg, 25, 5, seed=1)
-        with pytest.raises(BudgetExceeded, match="sampling depth") as exc:
+    def test_depth_25_counts(self, sg):
+        s = sample_measure(sg, 25, 40, seed=1)
+        assert s.denominator == 2 ** 26
+        radii = (1 / 3,) + dyadic_grid(1, 6)
+        _, volumes = besov._regularity_volumes(s, radii, 40)
+        for r, volume in zip(radii, volumes):
+            assert volume.tolist() == ((open_ball_counts_exact(s.points, r) + 1) * (1.0 / 40)).tolist()
+
+    def test_depth_30_refused_before_any_block(self, sg, monkeypatch):
+        s = sample_measure(sg, 30, 4, seed=2)  # D = 2^31
+        assert max(max(p) for p in s.numerators) >= besov.MAX_SCAN_NUMERATOR
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("the cloud was sorted before the check")
+
+        monkeypatch.setattr(np, "lexsort", no_blocks)
+        with pytest.raises(BudgetExceeded, match=r"lattice numerator.*--depth") as exc:
             alfors_check(s, ALPHA)
-        assert exc.value.requested == 2 ** 26
-        assert tree_log == []
+        assert exc.value.budget == 2 ** 30
         assert s.ball_volumes == {}
 
 

@@ -328,11 +328,12 @@ class TestPushforward:
         assert rc == 0
         assert payload["exact_invariance"] is True
 
-    def test_translation_changes_nothing(self, capsys):
-        # the shift's denominator would put the translated image's
-        # numerators past besov.MAX_SCAN_NUMERATOR; the scan never sees it
-        argv = ("pushforward", "sg", "-m", "5", "--scale", "1/2")
-        assert run(capsys, *argv, "--translate", "1/1000000007,0") == run(capsys, *argv)
+    def test_translate_is_a_usage_error(self, capsys):
+        # a translation moves no distance, so the command takes none
+        rc, payload = run(capsys, "pushforward", "sg", "-m", "5", "--translate", "1/3,0")
+        assert rc == 2
+        assert payload["error"] == "usage"
+        assert "--translate" in payload["detail"]
 
     def test_scale_numerator_refusal_names_scale(self, capsys):
         rc, payload = run(capsys, "pushforward", "sg", "-m", "5", "--scale", "1000000007/2")
@@ -507,12 +508,18 @@ EXACT_COMMANDS = (
 
 _NO_FLOAT_STACK = """
 import contextlib, io, sys, types
+at_start = set(sys.modules)
 import walkdim, walkdim.cli
+
+def third_party():
+    \"\"\"Packages outside the standard library and walkdim imported since start-up.\"\"\"
+    names = {name.split(".")[0] for name in set(sys.modules) - at_start}
+    return sorted(names - set(sys.stdlib_module_names) - {"walkdim"})
+
 for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert walkdim.cli.main(line.split()) == 0, line
-loaded = sorted({"numpy", "scipy"} & set(sys.modules))
-assert not loaded, f"exact commands loaded {loaded}"
+assert not third_party(), f"exact commands loaded {third_party()}"
 assert type(sys.modules["walkdim.besov"]) is not types.ModuleType, "exact commands ran besov"
 for line in (
     "heat-fit sg -m 5",
@@ -524,16 +531,16 @@ for line in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert walkdim.cli.main(line.split()) == 0, line
-assert "numpy" in sys.modules
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, f"float estimators loaded {loaded}"
+walkdim.alfors_check(walkdim.sample_measure(walkdim.load_system("sg"), 12, 2000), 1.5)
+walkdim.alfors_check(walkdim.build_level_graph(walkdim.load_system("sg"), 5), 1.5)
+assert third_party() == ["numpy"], f"float estimators loaded {third_party()}"
 """
 
 
-def test_exact_commands_load_no_numpy_or_scipy():
-    """Exact commands start without numpy and scipy; the float
-    estimators then import numpy and never scipy.  A fresh interpreter,
-    since this one has both loaded already."""
+def test_commands_load_nothing_but_numpy_outside_the_stdlib():
+    """Exact commands import nothing outside the standard library; the
+    float estimators and the regularity counts then import numpy and
+    nothing else.  A fresh interpreter, since this one has loaded more."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_FLOAT_STACK, *EXACT_COMMANDS],
