@@ -13,9 +13,11 @@ One kernel, _ball_sums, serves every Besov and pushforward scan: it
 sorts the cloud by (x, y), computes the squared distances of each block
 of rows against the x-window of its largest ball, and adds each ball's
 masked row and column sums into per-point sums; no pair outlives its
-block.  The pushforward audit makes one such scan per cloud, the image
-an exact lattice cloud too.  alfors_check counts every regularity ball,
-of a sample or a level graph, with _ball_masses on integer weights.
+block.  The pushforward audit makes one such scan, of the source graph:
+the image ball B(s*x, r) is s*B(x, r/s), so every image-side sum is a
+source-side sum at an exact rational radius.  alfors_check counts every
+regularity ball, of a sample or a level graph, with _ball_masses on
+integer weights.
 """
 
 from __future__ import annotations
@@ -105,26 +107,19 @@ PAIR_BLOCK = 2 ** 15
 MAX_SCAN_NUMERATOR = 2 ** 30
 
 
-def _open_ball_bound(r: float, den: int) -> int:
+def _open_ball_bound(r: Union[float, Fraction], den: int) -> int:
     """L = ceil(r^2*den^2) - 1 for the exact value of r: points a/den and
     b/den lie at distance < r iff the integer |a - b|^2 is at most L."""
     bound = Fraction(r) ** 2 * den ** 2
     return -(-bound.numerator // bound.denominator) - 1
 
 
-_NUMERATOR_KNOBS = {
-    MeasureSample: "lower the sampling depth (--depth)",
-    LevelGraph: "lower the level (-m)",
-    LatticePoints: "lower the level (-m) or the numerator of the map's --scale",
-}
-
-
 def _check_numerators(points: LatticePoints) -> None:
     """Refuse numerators past MAX_SCAN_NUMERATOR, naming the cloud's knob."""
     top = max(map(abs, chain.from_iterable(points.numerators)), default=0)
     if top >= MAX_SCAN_NUMERATOR:
-        knob = _NUMERATOR_KNOBS.get(type(points), _NUMERATOR_KNOBS[LatticePoints])
-        remedy = f"{knob} (fixed limit besov.MAX_SCAN_NUMERATOR)"
+        knob = "sampling depth (--depth)" if isinstance(points, MeasureSample) else "level (-m)"
+        remedy = f"lower the {knob} (fixed limit besov.MAX_SCAN_NUMERATOR)"
         raise BudgetExceeded(top, MAX_SCAN_NUMERATOR, "lattice numerator", remedy)
 
 
@@ -179,7 +174,8 @@ def _ball_sums(
     points: LatticePoints, w: np.ndarray, radii: Sequence[float], vals: np.ndarray
 ) -> list[tuple[np.ndarray, float, int, float]]:
     """Per radius, in the given order: (volumes, raw, pairs, integral)
-    over the open balls B(x, r), d(x, y) < r strictly, of every point x.
+    over the open balls B(x, r), d(x, y) < r strictly, of every point x;
+    a radius is a float or a Fraction, taken at its exact value.
 
     volumes are w_x plus w_y over the ball (never 0); osc_x is the ball's
     sum of w_y*(u(x)-u(y))^2; raw sums w_x*osc_x/volume_x and integral
@@ -614,13 +610,13 @@ def pushforward_check(
     alpha-dimensional volume factor, (ii) the pair-oscillation
     inequality image(r) <= C' * source(C*r) with C the bi-Lipschitz
     constant and C' = C^(2 alpha), at every grid radius, and (iii)
-    agreement of the critical-exponent fits computed independently on
-    source and image clouds.  Each cloud is scanned once, for all of its
-    radii; a translation moves no distance, so the image scanned is the
-    exact lattice cloud of x -> scale*x (LatticePoints.image), whatever
-    the map's translation, and both sides decide their open balls on
-    integers.  u must live on a level graph of `ifs`; ValueError
-    otherwise.
+    agreement of the critical-exponent fits of source and image.
+    A translation moves no distance, and the image ball B(s*x, rho) is
+    s*B(x, rho/s), so one scan of the source graph, at the exact radii
+    r, C*r and r/s, gives both sides: the image's oscillation at s*r is
+    the source's at r, and its fit differs from the source's only in
+    the rounding of the radii s*r.  u must live on a level graph of
+    `ifs`; ValueError otherwise.
     """
     import numpy as np
 
@@ -638,15 +634,15 @@ def pushforward_check(
     w = _weights(graph)
     vals = u.float_values()
 
-    # one scan per cloud: the source over radii + C*radii (its fit, then
-    # the right-hand sides), the image over radii + s*radii (the left-hand
-    # sides, then its fit)
-    inflated = tuple(r * c_float for r in float_radii)
-    src_sums = _ball_sums(graph, w, radii + inflated, vals)
+    # one scan of the source at the exact radii r (both fits), C*r (the
+    # right-hand sides) and r/s (the left-hand sides: the image ball
+    # B(s*x, r) is s*B(x, r/s)); for s <= 1, r/s = C*r shares its balls
+    exact = [Fraction(r) for r in radii]
+    c, scale = transform.bilipschitz_constant, transform.scale
+    sums = _ball_sums(graph, w, exact + [r * c for r in exact] + [r / scale for r in exact], vals)
+    raws = [raw for _, raw, _, _ in sums[:k]]
     r_min, r_max = FIT_WINDOW
-    source_fit = _fit(
-        float_radii, (raw for _, raw, _, _ in src_sums[:k]), FIT_WINDOW, "raise the level (-m)"
-    )
+    source_fit = _fit(float_radii, raws, FIT_WINDOW, "raise the level (-m)")
 
     # (i) alpha-dimensional mass transport: image carries s^alpha times
     # the source mass, so L^p norms scale by s^(alpha/p)
@@ -663,14 +659,11 @@ def pushforward_check(
             "bound": c_float ** (alpha / p),
             "ok": observed <= c_float ** (alpha / p) * (1 + 1e-12),
         }
-    image = graph.image(transform.scale)
-    img_radii = [r * s for r in float_radii]
-    img_sums = _ball_sums(image, w, tuple(float_radii + img_radii), vals)
 
     # (ii) each side: the double integral of (u(x)-u(y))^2 over open-ball
     # pairs, the image's under weights w_img = mass_factor * w
-    lhs_sides = [mass_factor ** 2 * integral for _, _, _, integral in img_sums[:k]]
-    rhs_sides = [integral for _, _, _, integral in src_sums[k:]]
+    lhs_sides = [mass_factor ** 2 * integral for _, _, _, integral in sums[2 * k :]]
+    rhs_sides = [integral for _, _, _, integral in sums[k : 2 * k]]
     cprime_bound = c_float ** (2.0 * alpha)
     rows: list[PushforwardRow] = []
     observed_ratio = 0.0
@@ -681,13 +674,11 @@ def pushforward_check(
             observed_ratio = max(observed_ratio, lhs / rhs)
         rows.append(PushforwardRow(r, lhs, rhs, bound, ok))
 
-    # (iii) the image window is the source window scaled by the map, so
-    # both fits use the same grid radii on any grid
+    # (iii) the image's raw at s*r is the source's at r; its radii and
+    # window are the source's scaled by the map, so both fits use the
+    # same grid radii on any grid
     image_fit = _fit(
-        img_radii,
-        (raw for _, raw, _, _ in img_sums[k:]),
-        (r_min * s, r_max * s),
-        "raise the level (-m)",
+        [r * s for r in float_radii], raws, (r_min * s, r_max * s), "raise the level (-m)"
     )
     combined = 2.0 * (source_fit.stderr + image_fit.stderr)
     fits_agree = abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12)

@@ -335,7 +335,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="comma-separated rational boundary values (default 1 at corner 0, 0 elsewhere)",
     )
-    p.add_argument("--method", choices=("auto", "recursive", "direct"), default="auto")
+    p.add_argument("--method", choices=("recursive", "direct"), default="recursive")
     p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser(

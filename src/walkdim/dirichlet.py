@@ -87,12 +87,12 @@ def harmonic_extension(
     ifs: IfsSpec,
     m: int,
     boundary_values: Sequence[Value],
-    method: str = "auto",
+    method: str = "recursive",
 ) -> GraphFunction:
     """The unique minimizer of the level-m graph energy among functions
     with the given V0 values; exact for rational data.
 
-    method: "auto" and "recursive" interpolate cell by cell, a cell of
+    method: "recursive" (the default) interpolates cell by cell, a cell of
     depth d by the harmonic interpolation matrix of the level-(m-d) unit
     problem (Kigami's harmonic extension matrices); "direct" solves the
     level-m graph by sparse elimination, the reference route.
@@ -108,8 +108,8 @@ def harmonic_extension(
     k = len(ifs.boundary)
     if len(boundary_values) != k:
         raise ValueError(f"need {k} boundary values")
-    if method not in ("auto", "recursive", "direct"):
-        raise ValueError("method must be auto, recursive, or direct")
+    if method not in ("recursive", "direct"):
+        raise ValueError("method must be recursive or direct")
     graph = build_level_graph(ifs, m)
 
     if method == "direct":
@@ -278,12 +278,19 @@ def _loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 
 
 def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tuple[int, ...]:
+    """The distinct integer roundings of count log-spaced times from
+    t_min to t_max; ValueError unless 1 <= t_min < t_max."""
+    if not 1 <= t_min < t_max:
+        raise ValueError(
+            f"time window must satisfy 1 <= t_min < t_max (--t-min, --t-max); "
+            f"got t_min = {t_min}, t_max = {t_max}"
+        )
     import numpy as np
 
     grid = np.unique(
         np.round(np.logspace(math.log10(t_min), math.log10(t_max), count)).astype(int)
     )
-    return tuple(int(t) for t in grid if t >= 1)
+    return tuple(map(int, grid))
 
 
 # The heat-kernel fit window: times from _T_MIN_FIT on, while p_t stays

@@ -4,9 +4,9 @@ A gasket system is a list of similitudes x -> ratio*x + t sharing one
 contraction ratio, plus a declared boundary vertex set V0.  Validation
 checks the structural properties that the rest of the package relies on
 (finite ramification, connectivity); dimensions come out as exact
-LogRatio values.  Level graphs, measure samples and their affine images
-share one point format, LatticePoints: integer pairs over one
-denominator, that of _lattice for graphs and samples.
+LogRatio values.  Level graphs and measure samples share one point
+format, LatticePoints: integer pairs over one denominator, that of
+_lattice.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ class LatticePoints:
     as Fractions, is built on first use and kept.  Equality compares the
     integers, which for one system and depth are equal exactly when the
     points are.  The ball scans of besov decide every open ball on these
-    integers; image() maps them exactly under x -> scale*x."""
+    integers."""
 
     numerators: tuple[tuple[int, int], ...]
     denominator: int
@@ -353,14 +353,6 @@ class LatticePoints:
 
         den = self.denominator
         return np.array([(ax / den, ay / den) for ax, ay in self.numerators])
-
-    def image(self, scale: Fraction) -> "LatticePoints":
-        """The points scale*v, exactly: with scale = s_n/s_d, scale*(a/D)
-        is the integer s_n*a over s_d*D."""
-        m = scale.numerator
-        return LatticePoints(
-            tuple((m * ax, m * ay) for ax, ay in self.numerators), scale.denominator * self.denominator
-        )
 
 
 @dataclass(frozen=True)

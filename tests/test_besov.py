@@ -42,6 +42,12 @@ def harmonic_on(ifs, m):
     return harmonic_extension(ifs, m, vals)
 
 
+def lattice_cloud(points):
+    """Exact Fraction points as integer numerators over their lcm denominator."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return LatticePoints(tuple((int(x * den), int(y * den)) for x, y in points), den)
+
+
 class TestDyadicGrid:
     def test_default(self):
         grid = dyadic_grid()
@@ -210,21 +216,21 @@ class TestBallSums:
 
     def test_translated_image_mixed_denominators(self, monkeypatch, sg, hook):
         # the translated image over the lcm of its mixed denominators sums
-        # as the brute force does, and as the untranslated image that
-        # pushforward_check scans
+        # as the brute force does, and at radius rho as the source at the
+        # exact rho/scale, the identity pushforward_check scans by
         monkeypatch.setattr(besov, "PAIR_BLOCK", 64)
         radii = [0.5, 0.2, 1 / 7, 1 / 21, 1 / 9]
         for ifs, scale in ((sg, F(1, 3)), (hook, F(5, 2))):
             g = build_level_graph(ifs, 2)
             points = tuple(map(LipschitzMap(scale, (F(2, 7), F(-5, 3))).apply, g.points))
-            den = math.lcm(*(c.denominator for p in points for c in p))
-            translated = LatticePoints(tuple((int(x * den), int(y * den)) for x, y in points), den)
+            translated = lattice_cloud(points)
             assert translated.points == points
             self.assert_brute(translated, radii)
             n = g.vertex_count
             w, vals = np.linspace(0.5, 1.5, n), np.linspace(-1.0, 1.0, n)
+            source_radii = [F(r) / scale for r in radii]
             for moved, still in zip(
-                _ball_sums(translated, w, radii, vals), _ball_sums(g.image(scale), w, radii, vals), strict=True
+                _ball_sums(translated, w, radii, vals), _ball_sums(g, w, source_radii, vals), strict=True
             ):
                 assert moved[0].tolist() == still[0].tolist()
                 assert moved[2] == still[2]
@@ -792,10 +798,20 @@ class TestPushforward:
 
     @pytest.mark.parametrize(
         "system, level, scale",
-        [("sg", 4, F(1, 2)), ("sg", 4, F(2)), ("hook", 3, F(1, 2))],
+        [
+            ("sg", 4, F(1, 2)),
+            ("sg", 4, F(2)),
+            ("hook", 3, F(1, 2)),
+            ("sg", 4, F(1, 5)),
+            ("sg", 4, F(2, 5)),
+            ("sg", 4, F(7, 3)),
+        ],
     )
     def test_sides_and_fits_match_brute(self, request, system, level, scale):
-        # level 4 has no sg pairs below 1/16, so the grid stays above it
+        # level 4 has no sg pairs below 1/16, so the grid stays above it;
+        # every oracle radius is exact: C*r on the source and, for the
+        # image fit, scale*r, where the float r*s can close a ball on a
+        # lattice distance (at scale 1/5, fl(0.125/5) > 1/40)
         grid = (0.5, 0.4, 0.3, 0.2, 0.125, 0.1)
         ifs = request.getfixturevalue(system)
         u = harmonic_on(ifs, level)
@@ -806,17 +822,28 @@ class TestPushforward:
         w = np.array([float(v) for v in vertex_measure_weights(u.graph)])
         w_img = w * float(scale) ** hausdorff_dim(ifs).value
         vals = u.float_values()
-        c = float(t.bilipschitz_constant)
+        c = t.bilipschitz_constant
         for row in rep.rows:
             assert row.lhs == pytest.approx(oscillation_brute(img, w_img, vals, row.r), rel=1e-12)
-            assert row.rhs == pytest.approx(oscillation_brute(pts, w, vals, c * row.r), rel=1e-12)
-        for fit, cloud, s in ((rep.source_fit, pts, 1.0), (rep.image_fit, img, float(scale))):
+            assert row.rhs == pytest.approx(oscillation_brute(pts, w, vals, c * F(row.r)), rel=1e-12)
+        for fit, cloud, s in ((rep.source_fit, pts, F(1)), (rep.image_fit, img, scale)):
             lo, hi = fit.window
-            radii = [r * s for r in grid]
-            used = [r for r in radii if lo <= r <= hi and open_ball_counts_exact(cloud, r).any()]
+            exact = {r * float(s): F(r) * s for r in grid}  # reported radius -> exact
+            used = [r for r, e in exact.items() if lo <= r <= hi and open_ball_counts_exact(cloud, e).any()]
             assert fit.radii == tuple(used)
             for r, value in zip(fit.radii, fit.values):
-                assert value == pytest.approx(besov_raw_brute(cloud, w, vals, r), rel=1e-12)
+                assert value == pytest.approx(besov_raw_brute(cloud, w, vals, exact[r]), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [F(1, 5), F(2, 5), F(7, 3)])
+    def test_image_fit_is_the_source_fit(self, sg, scale):
+        # the image ball B(s*x, s*r) is s*B(x, r): the image oscillation
+        # at s*r is the source's at r, also where the float s*r lands on
+        # or past a lattice distance of the image
+        rep = pushforward_check(LipschitzMap(scale, (F(0), F(0))), sg, harmonic_on(sg, 6))
+        assert rep.image_fit.values == rep.source_fit.values
+        assert rep.image_fit.radii == tuple(r * float(scale) for r in rep.source_fit.radii)
+        assert rep.image_fit.slope == pytest.approx(rep.source_fit.slope, rel=1e-12)
+        assert rep.fits_agree
 
     def test_one_pair_scan_per_cloud(self, sg, monkeypatch):
         clouds = []
@@ -828,7 +855,7 @@ class TestPushforward:
 
         monkeypatch.setattr(besov, "_ball_sums", counting)
         pushforward_check(LipschitzMap(F(1, 2), (F(0), F(0))), sg, harmonic_on(sg, 5))
-        assert clouds == [366, 366]
+        assert clouds == [366]
 
     def test_pair_limit_refused_before_any_tree(self, sg, monkeypatch):
         g = build_level_graph(sg, 9)
@@ -855,7 +882,8 @@ LATTICE_GRAPHS = (
 class TestLatticeFloats:
     """The float points and weights are read off the integer numerators
     by int true division; they equal the float(Fraction) conversions bit
-    for bit.  Images stay exact lattice points."""
+    for bit, also on the exact image of x -> scale*x over its own
+    denominator."""
 
     @pytest.mark.parametrize("name, m", LATTICE_GRAPHS)
     def test_cloud_equals_fraction_floats(self, lattice_systems, name, m):
@@ -866,23 +894,36 @@ class TestLatticeFloats:
     @pytest.mark.parametrize("scale", [F(1, 2), F(1), F(2), F(1, 3)])
     @pytest.mark.parametrize("name, m", LATTICE_GRAPHS)
     def test_image_cloud_equals_fraction_floats(self, lattice_systems, name, m, scale):
+        # the exact image of x -> scale*x over its own denominator reads
+        # the float(Fraction) points, and its open balls at rho hold the
+        # source pairs at the exact rho/scale
         g = build_level_graph(lattice_systems[name], m)
-        img = g.image(scale)
-        assert img.points == tuple(map(LipschitzMap(scale, (F(0), F(0))).apply, g.vertices))
+        img = lattice_cloud(tuple(map(LipschitzMap(scale, (F(0), F(0))).apply, g.vertices)))
         assert img.float_points().tolist() == [[float(x), float(y)] for x, y in img.points]
+        radii = (0.5, 0.2, 1 / 7)
+        n = g.vertex_count
+        w, vals = np.ones(n), np.zeros(n)
+        image_pairs = [pairs for _, _, pairs, _ in _ball_sums(img, w, radii, vals)]
+        source_radii = [F(r) / scale for r in radii]
+        assert image_pairs == [pairs for _, _, pairs, _ in _ball_sums(g, w, source_radii, vals)]
 
     def test_pushforward_scans_the_fraction_image(self, sg, monkeypatch):
-        clouds = []
+        # whatever the map's scale and translation, the audit scans the
+        # source cloud once, at the exact radii r, C*r and r/scale
+        scans = []
         scan = besov._ball_sums
 
-        def recording(points, *args):
-            clouds.append(points.points)
-            return scan(points, *args)
+        def recording(points, w, radii, vals):
+            scans.append((points.points, list(radii)))
+            return scan(points, w, radii, vals)
 
         monkeypatch.setattr(besov, "_ball_sums", recording)
         u = harmonic_on(sg, 5)
-        t = LipschitzMap(F(1, 3), (F(1, 7), F(-2, 5)))
-        pushforward_check(t, sg, u)
-        # a translation moves no distance: the image scanned is x -> x/3's
-        untranslated = LipschitzMap(t.scale, (F(0), F(0)))
-        assert clouds == [u.graph.vertices, tuple(map(untranslated.apply, u.graph.vertices))]
+        grid = [F(r) for r in dyadic_grid()]
+        for scale, shift in ((F(1, 3), (F(1, 7), F(-2, 5))), (F(7, 3), (F(0), F(0))), (F(1), (F(1, 4), F(0)))):
+            t = LipschitzMap(scale, shift)
+            pushforward_check(t, sg, u)
+            c = t.bilipschitz_constant
+            expected = grid + [r * c for r in grid] + [r / scale for r in grid]
+            assert scans == [(u.graph.vertices, expected)]
+            scans.clear()

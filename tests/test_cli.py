@@ -170,6 +170,12 @@ class TestHarmonic:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
+    def test_method_auto_is_a_usage_error(self, capsys):
+        # "auto" is refused: "recursive", the route it named, is the default
+        rc, payload = run(capsys, "harmonic", "segment", "-m", "2", "--method", "auto")
+        assert rc == 2
+        assert payload["error"] == "usage"
+
 
 class TestCut:
     def test_three_midpoints_make_three_components(self, capsys):
@@ -220,6 +226,15 @@ class TestExitAndHeat:
         assert rc == 0
         assert payload["fitted_exponent"] < -0.4
         assert payload["plateau"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "window", [["--t-min", "0"], ["--t-min", "-3"], ["--t-min", "50", "--t-max", "10"]]
+    )
+    def test_heat_fit_bad_time_window(self, capsys, window):
+        rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", *window)
+        assert rc == 1
+        assert payload["error"] == "value"
+        assert "--t-min" in payload["detail"] and "--t-max" in payload["detail"]
 
     def test_heat_fit_bad_laziness(self, capsys):
         rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", "--laziness", "2")
@@ -335,12 +350,14 @@ class TestPushforward:
         assert payload["error"] == "usage"
         assert "--translate" in payload["detail"]
 
-    def test_scale_numerator_refusal_names_scale(self, capsys):
+    def test_large_scale_numerator_runs(self, capsys):
+        # the audit scans the source graph alone, so no scale enters its
+        # integers: a large numerator only moves the radii
         rc, payload = run(capsys, "pushforward", "sg", "-m", "5", "--scale", "1000000007/2")
-        assert rc == 1
-        assert payload["error"] == "budget"
-        assert "--scale" in payload["detail"]
-        assert "--translate" not in payload["detail"]
+        assert rc == 0
+        assert payload["inflation"] == "1000000007/2"
+        assert payload["image_beta_star"]["values"] == payload["source_beta_star"]["values"]
+        assert all(row["ok"] for row in payload["rows"])
 
 
 @pytest.mark.parametrize("command", ["besov-fit", "pushforward"])

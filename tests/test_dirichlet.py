@@ -188,8 +188,10 @@ class TestHarmonicExtension:
             harmonic_extension(sg, 1, (F(1), F(0)))
 
     def test_unknown_method(self, sg):
-        with pytest.raises(ValueError):
-            harmonic_extension(sg, 1, (F(1), F(0), F(0)), method="magic")
+        # "auto" is refused: "recursive", the route it named, is the default
+        for method in ("magic", "auto"):
+            with pytest.raises(ValueError, match="recursive or direct"):
+                harmonic_extension(sg, 1, (F(1), F(0), F(0)), method=method)
 
 
 class TestGraphEnergy:
@@ -423,6 +425,15 @@ class TestDefaultTimeGrid:
         assert grid[-1] == 1000
         assert list(grid) == sorted(set(grid))
         assert all(isinstance(t, int) and t >= 1 for t in grid)
+
+    @pytest.mark.parametrize("t_min, t_max", [(0, 1000), (-5, 1000), (50, 10), (10, 10)])
+    def test_refuses_bad_window(self, t_min, t_max):
+        # log-spaced times need 1 <= t_min < t_max; the message names both edges
+        with pytest.raises(ValueError, match=rf"t_min = {t_min}, t_max = {t_max}"):
+            default_time_grid(t_min, t_max)
+
+    def test_shortest_window(self):
+        assert default_time_grid(1, 2, 30) == (1, 2)
 
 
 INTEGER_ROUTE_CASES = [("sg", 6), ("segment", 8), ("hook", 4), ("sg2", 3)]
