@@ -128,7 +128,7 @@ def _cmd_validate(args):
 
 def _cmd_dim(args):
     ifs = _load(args.system)
-    report = walk_dimension(ifs, max_iter=args.max_iter, tol=args.tol)
+    report = walk_dimension(ifs)
     return report.to_json(), None
 
 
@@ -157,7 +157,7 @@ def _cmd_graph(args):
 
 def _cmd_renorm(args):
     ifs = _load(args.system)
-    result = renorm_factor(ifs, max_iter=args.max_iter, tol=args.tol)
+    result = renorm_factor(ifs)
     payload = {"system": ifs.name, **result.to_json()}
     return payload, None
 
@@ -306,8 +306,6 @@ def _build_parser() -> _Parser:
         "dim", parents=[out], help="Hausdorff and walk dimension report"
     )
     p.add_argument("system")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser(
@@ -321,8 +319,6 @@ def _build_parser() -> _Parser:
         "renorm", parents=[out], help="energy renormalization factor"
     )
     p.add_argument("system")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_renorm)
 
     p = sub.add_parser(

@@ -63,7 +63,7 @@ def solve_weighted_laplacian(
     return _back_substitute(order, values)[:vertex_count]  # type: ignore[return-value]
 
 
-def _unit_levels(ifs: IfsSpec, m: int, interpolate: bool = False) -> list[tuple]:
+def _unit_levels(g1: LevelGraph, m: int, interpolate: bool = False) -> list[tuple]:
     """(cell matrix on V0, V0 -> V1 interpolation matrix or None without
     `interpolate`) of the unit level-j problem, j = 0..m: every vertex of
     the level-j graph loaded by its degree, the interior eliminated.  The
@@ -74,12 +74,12 @@ def _unit_levels(ifs: IfsSpec, m: int, interpolate: bool = False) -> list[tuple]
     degree k - 1; it has no interpolation matrix.  The level-j graph is
     one copy of the level-(j-1) graph per map, glued at cell corners
     (cells meet only there), so one refinement step takes level j-1 to
-    level j."""
-    k = len(ifs.boundary)
+    level j; `g1` is the level-1 graph that every step glues on."""
+    k = len(g1.ifs.boundary)
     unit = {(i, j): Fraction(1) for i in range(k) for j in range(i + 1, k)}
     levels = [(_matrix(k, unit, dict.fromkeys(range(k), Fraction(k - 1))), None)]
     for _ in range(m):
-        levels.append(_refine(ifs, levels[-1][0], interpolate))
+        levels.append(_refine(g1, levels[-1][0], interpolate))
     return levels
 
 
@@ -124,16 +124,16 @@ def harmonic_extension(
     den = math.lcm(*(v.denominator for v in exact))
     # corner numerators per cell, one depth at a time; with n maps, child
     # d of cell c is cell c*n + d, the order build_level_graph emits
-    cells1 = build_level_graph(ifs, 1).cells
+    g1 = build_level_graph(ifs, 1)
     corners = [[v.numerator * (den // v.denominator) for v in exact]]
-    for _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
+    for _, h in reversed(_unit_levels(g1, m, interpolate=True)[1:]):
         scale = math.lcm(*(x.denominator for row in h for x in row))
         rows = [[x.numerator * (scale // x.denominator) for x in row] for row in h]
         den *= scale
         children: list[list[int]] = []
         for cell in corners:
             local = [sum(map(mul, row, cell)) for row in rows]
-            children.extend([local[v] for v in sub] for sub in cells1)
+            children.extend([local[v] for v in sub] for sub in g1.cells)
         corners = children
     nums: list[Optional[int]] = [None] * graph.vertex_count
     for cell, cell_nums in zip(graph.cells, corners):
@@ -213,7 +213,7 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
         raise ValueError(f"start must index a boundary vertex (0..{k - 1})")
     _check_level(ifs, m_max)
     rows: list[tuple[int, Fraction]] = []
-    for m, (cell, _) in enumerate(_unit_levels(ifs, m_max)):
+    for m, (cell, _) in enumerate(_unit_levels(build_level_graph(ifs, 1), m_max)):
         rows.append((m, -cell[start][k] / cell[start][start]))
     # every level's exit time is at least one step, so no ratio divides by 0
     ratios = tuple(rows[i][1] / rows[i - 1][1] for i in range(1, len(rows)))
@@ -279,12 +279,14 @@ def _loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 
 def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tuple[int, ...]:
     """The distinct integer roundings of count log-spaced times from
-    t_min to t_max; ValueError unless 1 <= t_min < t_max."""
+    t_min to t_max; ValueError unless 1 <= t_min < t_max and count >= 1."""
     if not 1 <= t_min < t_max:
         raise ValueError(
             f"time window must satisfy 1 <= t_min < t_max (--t-min, --t-max); "
             f"got t_min = {t_min}, t_max = {t_max}"
         )
+    if count < 1:
+        raise ValueError(f"the time grid needs at least one point (--points); got {count}")
     import numpy as np
 
     grid = np.unique(

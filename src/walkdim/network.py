@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import ConvergenceError, ReductionError
-from .ifs import IfsSpec, ensure_valid
-from .levelgraph import build_level_graph
+from .ifs import IfsSpec
+from .levelgraph import LevelGraph, build_level_graph
 from .logratio import LogRatio
 from .rational import as_fraction, json_number
 
@@ -141,13 +141,13 @@ def _back_substitute(order: list[tuple], values: list) -> list:
 
 
 def _refine(
-    ifs: IfsSpec, cell: list[dict[int, Conductance]], interpolate: bool = False
+    g1: LevelGraph, cell: list[dict[int, Conductance]], interpolate: bool = False
 ) -> tuple[list[dict[int, Conductance]], Optional[tuple[tuple, ...]]]:
-    """One refinement step of a cell problem.  `cell` is a matrix as
-    `_matrix` builds it on V0 (k vertices, ground index k): one copy is
-    added per map at the map's level-1 points (Laplacians and loads add,
-    as in finite-element assembly) and the level-1 interior is
-    eliminated once.
+    """One refinement step of a cell problem on the level-1 graph `g1`.
+    `cell` is a matrix as `_matrix` builds it on V0 (k vertices, ground
+    index k): one copy is added per cell of `g1` at its corners
+    (Laplacians and loads add, as in finite-element assembly) and the
+    level-1 interior is eliminated once.
 
     Returns the Schur complement left on V0 and the ground, re-indexed
     to boundary order (its ground row's own entry, -l^T L^-1 l, is read
@@ -155,7 +155,6 @@ def _refine(
     interpolation matrix (one row of k corner weights per level-1
     vertex), read by k back-substitutions with ground value 0; None
     without it."""
-    g1 = build_level_graph(ifs, 1)
     n = g1.vertex_count
     rows: list[dict[int, Conductance]] = [dict() for _ in range(n + 1)]
     for corners in g1.cells:
@@ -195,54 +194,58 @@ class RenormResult:
         }
 
 
-def renorm_factor(
-    ifs: IfsSpec, max_iter: int = 100, tol: float = 1e-12
-) -> RenormResult:
-    """Energy renormalization factor r^{-1}.
+# Newton's step cap, residual tolerance and forward-difference step
+_NEWTON_STEPS = 30
+_NEWTON_TOL = 1e-12
+_NEWTON_H = 1e-7
 
-    Refining once multiplies the conductances of the boundary trace by a
-    factor mu; energies of harmonic extensions are invariant when the
-    level-m sum is scaled by (1/mu)^m, so r^{-1} = 1/mu.
 
-    Exact route: if the uniform unit network on V0 is a fixed direction
-    of one load-free refinement step (true for every symmetric gasket
-    shipped), mu is read off as an exact rational.  Otherwise a
-    normalized float fixed-direction iteration of that step runs until
-    the direction stabilizes.
+def renorm_factor(ifs: IfsSpec) -> RenormResult:
+    """Energy renormalization factor r^{-1} = 1/mu: refining once
+    multiplies the conductances of the boundary trace by mu, so harmonic
+    energies are invariant when the level-m sum is scaled by (1/mu)^m.
+
+    The fixed direction's E = k(k-1)/2 conductances sum to E.  If the unit
+    network, refined exactly, has residual zero (true for every symmetric
+    gasket shipped), mu is an exact rational and `iterations` is 0;
+    otherwise Newton's method runs in floats on E - 1 free conductances,
+    each step solving its normal equations with the Schur kernel, and
+    `iterations` counts its steps.
     """
-    ensure_valid(ifs)
+    g1 = build_level_graph(ifs, 1)
     k = len(ifs.boundary)
-    c0 = unit_complete_network(k)
-    edge_keys = list(c0.conductances)
-    reduced = _refine(ifs, _matrix(k, c0.conductances, {}))[0]
-    values = [-reduced[i].get(j, 0) for i, j in edge_keys]
-    if all(isinstance(v, Fraction) for v in values) and len(set(values)) == 1 and values[0] > 0:
-        mu = values[0]
-        return RenormResult(1 / mu, c0, True, 0)
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
 
-    # float fixed-direction iteration
-    cur = {e: 1.0 for e in edge_keys}
-    mu_prev: Optional[float] = None
-    for it in range(1, max_iter + 1):
-        nxt = _refine(ifs, _matrix(k, cur, {}))[0]
-        total_old = sum(cur.values())
-        nxt_vals = {(i, j): float(-nxt[i].get(j, 0)) for i, j in edge_keys}
-        total_new = sum(nxt_vals.values())
-        if total_new <= 0:
+    def residual(c: list) -> tuple[list, Conductance]:
+        nxt = _refine(g1, _matrix(k, dict(zip(edges, c)), {}))[0]
+        image = [-nxt[i].get(j, 0) for i, j in edges]
+        if sum(image) <= 0:
             raise ReductionError("reduction produced an empty boundary network")
-        mu = total_new / total_old
-        norm = {e: v * total_old / total_new for e, v in nxt_vals.items()}
-        drift = max(abs(norm[e] - cur[e]) for e in edge_keys)
-        cur = norm
-        if mu_prev is not None and drift <= tol and abs(mu - mu_prev) <= tol:
-            fixed = ConductanceNetwork(k, dict(cur), tuple(range(k)))
-            return RenormResult(1.0 / mu, fixed, False, it)
-        mu_prev = mu
-    raise ConvergenceError(
-        f"renormalization direction did not stabilize in {max_iter} "
-        f"iterations at tol {tol:g}; raise max_iter (--max-iter) or "
-        "loosen tol (--tol)"
-    )
+        mu = sum(image) / len(edges)
+        return [y / mu - a for a, y in zip(c, image)], mu
+
+    c: list = [Fraction(1)] * len(edges)
+    res, mu = residual(c)
+    steps = 0
+    while max(map(abs, res)) > (_NEWTON_TOL if steps else 0):
+        if steps == _NEWTON_STEPS:
+            raise ConvergenceError(
+                f"renormalization found no fixed direction in {steps} Newton steps; "
+                f"the residual reached {max(map(abs, res)):.3g}"
+            )
+        c, res, h = [float(v) for v in c], [float(r) for r in res], _NEWTON_H
+        # J by forward differences, free conductance i against the last; J's
+        # columns eliminated from the Gram matrix of [J | res] give J^T J dx = -J^T res
+        moved = ([*c[:i], v + h, *c[i + 1:-1], c[-1] - h] for i, v in enumerate(c[:-1]))
+        cols = [[(y - r) / h for y, r in zip(residual(m)[0], res)] for m in moved] + [res]
+        gram = [{j: sum(p * q for p, q in zip(a, b)) for j, b in enumerate(cols)} for a in cols]
+        order = _eliminate(gram, range(len(c) - 1))
+        dx = _back_substitute(order, [None] * (len(c) - 1) + [1])[:-1]
+        c = [*(v + d for v, d in zip(c, dx)), c[-1] - sum(dx)]
+        res, mu = residual(c)
+        steps += 1
+    fixed = ConductanceNetwork(k, dict(zip(edges, c)), tuple(range(k)))
+    return RenormResult(1 / mu, fixed, steps == 0, steps)
 
 
 @dataclass(frozen=True)
@@ -310,9 +313,9 @@ def dimension_report_from_constants(
     )
 
 
-def walk_dimension(ifs: IfsSpec, max_iter: int = 100, tol: float = 1e-12) -> DimensionReport:
+def walk_dimension(ifs: IfsSpec) -> DimensionReport:
     """alpha, gamma = log(r^{-1})/log(1/rho), beta = alpha + gamma."""
-    renorm = renorm_factor(ifs, max_iter=max_iter, tol=tol)
+    renorm = renorm_factor(ifs)
     return dimension_report_from_constants(
         ifs.name, len(ifs.maps), ifs.ratio, renorm.energy_scale
     )

@@ -68,13 +68,13 @@ def harmonic_extension_fractions(ifs, m: int, boundary_values):
 
     k = len(ifs.boundary)
     vals = [v if isinstance(v, float) else Fraction(v) for v in boundary_values]
-    cells1 = build_level_graph(ifs, 1).cells
+    g1 = build_level_graph(ifs, 1)
     corners = [vals]
-    for _, h in reversed(_unit_levels(ifs, m, interpolate=True)[1:]):
+    for _, h in reversed(_unit_levels(g1, m, interpolate=True)[1:]):
         children = []
         for cell in corners:
             local = [sum((row[b] * cell[b] for b in range(k)), start=Fraction(0)) for row in h]
-            children.extend([local[v] for v in sub] for sub in cells1)
+            children.extend([local[v] for v in sub] for sub in g1.cells)
         corners = children
     graph = build_level_graph(ifs, m)
     values = [None] * graph.vertex_count

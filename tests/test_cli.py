@@ -236,6 +236,13 @@ class TestExitAndHeat:
         assert payload["error"] == "value"
         assert "--t-min" in payload["detail"] and "--t-max" in payload["detail"]
 
+    @pytest.mark.parametrize("points", ["-2", "0"])
+    def test_heat_fit_bad_point_count(self, capsys, points):
+        rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", "--points", points)
+        assert rc == 1
+        assert payload["error"] == "value"
+        assert "--points" in payload["detail"]
+
     def test_heat_fit_bad_laziness(self, capsys):
         rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", "--laziness", "2")
         assert rc == 1
@@ -395,7 +402,8 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
 
 
 # The n = 4 grid gasket on seven of its ten cells: its unit network is
-# not renormalization-fixed and the float iteration needs 191 steps.
+# not renormalization-fixed, and the power iteration that Newton's
+# method replaced needed 191 steps on it.
 SLOW_GRID = {
     "name": "slow-grid",
     "maps": [
@@ -406,19 +414,42 @@ SLOW_GRID = {
 }
 
 
-class TestErrorPaths:
-    def test_convergence_names_its_knobs(self, capsys, tmp_path):
+class TestRenormalization:
+    @pytest.fixture
+    def slow_grid(self, tmp_path):
         path = tmp_path / "slow-grid.json"
         path.write_text(json.dumps(SLOW_GRID))
-        rc, payload = run(capsys, "renorm", str(path))
-        assert rc == 1
-        assert payload["error"] == "convergence"
-        assert "--max-iter" in payload["detail"] and "--tol" in payload["detail"]
-        rc, payload = run(capsys, "renorm", str(path), "--max-iter", "5000")
-        assert rc == 0
-        assert payload["exact"] is False
-        assert payload["iterations"] == 191
+        return str(path)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("dim",), ("renorm",), ("harmonic", "-m", "2")],
+        ids=["dim", "renorm", "harmonic"],
+    )
+    def test_slow_grid_at_the_defaults(self, capsys, slow_grid, argv):
+        rc, payload = run(capsys, argv[0], slow_grid, *argv[1:])
+        assert rc == 0
+        assert isinstance(payload["energy_scale"], float)
+
+    def test_slow_grid_compare(self, capsys, slow_grid):
+        rc, payload = run(capsys, "compare", slow_grid, "sg")
+        assert rc == 0
+        assert payload["verdict"] == "DISTINCT_BY_ALPHA"
+
+    def test_renorm_reports_newton_steps(self, capsys, slow_grid):
+        rc, payload = run(capsys, "renorm", slow_grid)
+        assert rc == 0 and payload["exact"] is False
+        assert 0 < payload["iterations"] <= 10
+
+    @pytest.mark.parametrize("command", ["dim", "renorm"])
+    @pytest.mark.parametrize("option", [("--max-iter", "5000"), ("--tol", "1e-9")])
+    def test_iteration_options_are_usage_errors(self, capsys, command, option):
+        rc, payload = run(capsys, command, "sg", *option)
+        assert rc == 2
+        assert payload["error"] == "usage"
+
+
+class TestErrorPaths:
     @pytest.mark.parametrize(
         "where, point, count",
         [
@@ -639,9 +670,10 @@ def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
     date from the integer ball kernel's einsum sums; they moved from the
     float kernel's bincount sums by at most 1.4e-13 relative, every
     integer, string and key equal.
-    The hook harmonic file's two float energy fields date from the
-    renormalization step that glues cell matrices cell by cell; they
-    moved by at most 8.5e-16 relative.
+    The hook harmonic file's two float energy fields date from Newton's
+    method on the fixed direction, which replaced the power iteration;
+    they moved by at most 3.5e-13 relative (energy_scale 1.2e-13, now
+    within 3.3e-16 of (27 + sqrt(33))/12; energy_scaled 3.5e-13).
     The three compare files pin the audit JSON and its certificates:
     the README pair, the pair that reduces by cancellation, and a
     verdict by alpha."""

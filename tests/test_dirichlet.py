@@ -435,6 +435,11 @@ class TestDefaultTimeGrid:
     def test_shortest_window(self):
         assert default_time_grid(1, 2, 30) == (1, 2)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_refuses_empty_grid(self, count):
+        with pytest.raises(ValueError, match=rf"\(--points\); got {count}"):
+            default_time_grid(10, 1000, count)
+
 
 INTEGER_ROUTE_CASES = [("sg", 6), ("segment", 8), ("hook", 4), ("sg2", 3)]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,8 +16,9 @@ from oracles import (
     schur_reduce_dense,
     solve_dense,
 )
-from walkdim.errors import ReductionError
-from walkdim.ifs import compose
+import walkdim.network
+from walkdim.errors import ConvergenceError, ReductionError
+from walkdim.ifs import IfsSpec, compose, validate
 from walkdim.levelgraph import build_level_graph
 from walkdim.logratio import LogRatio
 from walkdim.network import (
@@ -214,9 +216,9 @@ class TestRefine:
         }
         cell_load = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k))
         cell = _matrix(k, cell_edges, dict(enumerate(cell_load)))
-        nxt, interp = _refine(ifs, cell, interpolate=True)
+        nxt, interp = _refine(build_level_graph(ifs, 1), cell, interpolate=True)
         assert cell == _matrix(k, cell_edges, dict(enumerate(cell_load)))
-        assert _refine(ifs, cell) == (nxt, None)
+        assert _refine(build_level_graph(ifs, 1), cell) == (nxt, None)
         assert len(nxt) == k + 1
         assert all(nxt[b][a] == x for a in range(k + 1) for b, x in nxt[a].items())
 
@@ -267,7 +269,7 @@ class TestRefine:
                 for b in range(k + 1):
                     dense[place[a]][place[b]] += cell[a].get(b, 0)
         expected = schur_dense(dense, (*g1.boundary_indices(), n))
-        nxt, _ = _refine(ifs, cell)
+        nxt, _ = _refine(g1, cell)
         assert [[nxt[a].get(b, 0) for b in range(k + 1)] for a in range(k + 1)] == expected
 
 
@@ -293,22 +295,103 @@ class TestRenorm:
         assert j["energy_scale"] == "5/3" and j["exact"] is True
 
     def test_hook_float_fixed_point(self, hook):
-        # the unit network is not renormalization-fixed, so the float
-        # route runs; its fixed direction is (s, s, 3 - 2s) with
-        # s = (sqrt(33) - 3)/2
+        # the unit network is not renormalization-fixed, so Newton runs;
+        # its fixed direction is (s, s, 3 - 2s) with s = (sqrt(33) - 3)/2
         res = renorm_factor(hook)
-        assert res.exact is False and res.iterations == 33
+        assert res.exact is False and res.iterations == 4
         # pinned by accuracy, not by bits: lambda = (27 + sqrt(33))/12
-        assert res.energy_scale == pytest.approx((27 + math.sqrt(33)) / 12, rel=1e-12)
+        assert res.energy_scale == pytest.approx((27 + math.sqrt(33)) / 12, rel=1e-13)
         fixed = res.fixed_network.conductances
         assert sum(fixed.values()) == pytest.approx(3, abs=1e-12)
         s = (math.sqrt(33) - 3) / 2
         assert sum(abs(c - s) <= 1e-12 for c in fixed.values()) == 2
         mu = 1 / res.energy_scale
-        reduced, _ = _refine(hook, _matrix(3, fixed, {}))
+        reduced, _ = _refine(build_level_graph(hook, 1), _matrix(3, fixed, {}))
         assert len(reduced) == 4 and not reduced[3]
         for (i, j), c in fixed.items():
             assert -reduced[i][j] == pytest.approx(mu * c, rel=1e-10)
+
+    def test_step_cap_names_no_option(self, hook, monkeypatch):
+        monkeypatch.setattr(walkdim.network, "_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            renorm_factor(hook)
+        detail = str(info.value)
+        assert "1 Newton steps" in detail and "residual" in detail
+        assert "--" not in detail and "max_iter" not in detail
+
+    def test_takes_only_the_system(self, hook):
+        with pytest.raises(TypeError):
+            renorm_factor(hook, max_iter=100)
+        with pytest.raises(TypeError):
+            walk_dimension(hook, tol=1e-12)
+
+
+def grid_gasket(name, n, cells, boundary):
+    """The maps x -> x/n + (i, j)/n over `cells`, on the given corners."""
+    return IfsSpec.from_json(
+        {
+            "name": name,
+            "maps": [{"ratio": f"1/{n}", "translate": [f"{i}/{n}", f"{j}/{n}"]} for i, j in cells],
+            "boundary": boundary,
+        }
+    )
+
+
+def census_systems():
+    """Every corner-keeping triangular n = 4 grid gasket that validates,
+    and the k = 4 systems on the 5x5 square grid built from the diagonal
+    X plus one to four of (2,0), (0,2), (4,2), (2,4)."""
+    triangle = [(i, j) for i in range(4) for j in range(4 - i)]
+    corners = [(0, 0), (3, 0), (0, 3)]
+    rest = [c for c in triangle if c not in corners]
+    unit = [["0", "0"], ["1", "0"], ["0", "1"]]
+    grids = [
+        grid_gasket(f"grid4-{sub}", 4, corners + list(sub), unit)
+        for r in range(len(rest) + 1)
+        for sub in itertools.combinations(rest, r)
+    ]
+    grids = [ifs for ifs in grids if validate(ifs).ok]
+    x = [(i, i) for i in range(5)] + [(4, 0), (3, 1), (1, 3), (0, 4)]
+    square = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+    arms = [(2, 0), (0, 2), (4, 2), (2, 4)]
+    xs = [
+        grid_gasket(f"x5-{sub}", 5, x + list(sub), square)
+        for r in range(1, 5)
+        for sub in itertools.combinations(arms, r)
+    ]
+    return grids, xs
+
+
+def test_census_every_system_has_an_energy_scale():
+    """Each system gets an energy scale at the defaults, and each float
+    fixed network sums to E and reproduces itself, scaled by mu, as the
+    dense Schur complement of its level-1 replica (no `_refine`)."""
+    grids, xs = census_systems()
+    assert (len(grids), len(xs)) == (37, 15)
+    floats = 0
+    for ifs in grids + xs:
+        res = renorm_factor(ifs)
+        if res.exact:
+            continue
+        floats += 1
+        k = len(ifs.boundary)
+        fixed = res.fixed_network.conductances
+        assert sum(fixed.values()) == pytest.approx(k * (k - 1) / 2, rel=1e-12)
+        g1 = build_level_graph(ifs, 1)
+        n = g1.vertex_count
+        dense = [[0.0] * n for _ in range(n)]
+        for cell in g1.cells:
+            for (a, b), c in fixed.items():
+                u, v = cell[a], cell[b]
+                dense[u][v] -= c
+                dense[v][u] -= c
+                dense[u][u] += c
+                dense[v][v] += c
+        reduced = schur_dense(dense, g1.boundary_indices())
+        mu = 1 / res.energy_scale
+        for (a, b), c in fixed.items():
+            assert -reduced[a][b] == pytest.approx(mu * c, rel=1e-10), ifs.name
+    assert floats == 33 + 15
 
 
 class TestWalkDimension:
