@@ -52,8 +52,9 @@ def solve_weighted_laplacian(
     the rest, by sparse elimination (rhs as the ground column) and
     back-substitution with ground value 1.
 
-    Exact when all inputs are Fractions.  Raises if some free vertex has
-    no path to anywhere (singular block).
+    Exact when every input is an int or a Fraction; a float anywhere
+    makes the whole solve float.  Raises if some free vertex has no path
+    to anywhere (singular block).
     """
     rows = _matrix(vertex_count, edges, rhs)
     order = _eliminate(rows, set(range(vertex_count)) - set(fixed))
@@ -97,12 +98,13 @@ def harmonic_extension(
     problem (Kigami's harmonic extension matrices); "direct" solves the
     level-m graph by sparse elimination, the reference route.
 
-    The recursive route runs on integers: every value at one depth is a
-    numerator over one denominator, each matrix is scaled to integers by
-    the common denominator of its entries, and each vertex becomes
-    Fraction(numerator, denominator) at the end.  Float boundary values
-    enter as their exact Fractions and every value comes back as the
-    correctly rounded float of the exact extension.
+    Both routes are exact: float boundary values enter as their exact
+    Fractions, and every value then comes back as the correctly rounded
+    float of the exact extension.  The recursive route runs on integers:
+    every value at one depth is a numerator over one denominator, each
+    matrix is scaled to integers by the common denominator of its
+    entries, and each vertex becomes Fraction(numerator, denominator) at
+    the end.
     """
     ensure_valid(ifs)
     k = len(ifs.boundary)
@@ -111,16 +113,16 @@ def harmonic_extension(
     if method not in ("recursive", "direct"):
         raise ValueError("method must be recursive or direct")
     graph = build_level_graph(ifs, m)
+    exact = [Fraction(v) if isinstance(v, float) else as_fraction(v) for v in boundary_values]
+    rounded = any(isinstance(v, float) for v in boundary_values)
 
     if method == "direct":
-        vals = [as_fraction(v) if not isinstance(v, float) else v for v in boundary_values]
         bidx = graph.boundary_indices()
-        fixed = {bidx[a]: vals[a] for a in range(k)}
-        edges = {e: Fraction(1) for e in graph.edges}
+        fixed = {bidx[a]: exact[a] for a in range(k)}
+        edges = dict.fromkeys(graph.edges, 1)
         solution = solve_weighted_laplacian(graph.vertex_count, edges, {}, fixed)
-        return GraphFunction(graph, tuple(solution))
+        return GraphFunction(graph, tuple(map(float, solution) if rounded else solution))
 
-    exact = [Fraction(v) if isinstance(v, float) else as_fraction(v) for v in boundary_values]
     den = math.lcm(*(v.denominator for v in exact))
     # corner numerators per cell, one depth at a time; with n maps, child
     # d of cell c is cell c*n + d, the order build_level_graph emits
@@ -142,7 +144,7 @@ def harmonic_extension(
                 nums[v] = a
             elif nums[v] != a:
                 raise AssertionError("inconsistent cell extension values")
-    if any(isinstance(v, float) for v in boundary_values):
+    if rounded:
         return GraphFunction(graph, tuple(a / den for a in nums))
     return GraphFunction(graph, tuple(Fraction(a, den) for a in nums))
 

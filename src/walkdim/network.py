@@ -3,7 +3,10 @@
 A network is a sparse symmetric set of positive edge conductances with
 designated boundary vertices.  Interior vertices are eliminated by
 star-mesh steps (the Schur complement of the weighted graph Laplacian),
-which preserves all boundary effective resistances exactly.
+which preserves all boundary effective resistances exactly.  The one
+Schur kernel keeps exact entries (ints and Fractions) as reduced
+(numerator, denominator) int pairs; float entries run through the same
+kernel as (float, 1.0) pairs and round as plain float arithmetic does.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import ConvergenceError, ReductionError
 from .ifs import IfsSpec
@@ -91,13 +94,37 @@ def _matrix(
     return rows
 
 
+def _reduce(n: int, d: int) -> tuple[int, int]:
+    g = math.gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
+def _arithmetic(numbers: Iterable) -> tuple[Callable, Callable, Callable]:
+    """(pair, reduce, value) for one kernel call on `numbers`: exact, on
+    reduced int pairs with a positive denominator, unless some number is
+    a float.  Then every pair is (float, 1.0), and as multiplying by 1.0
+    is exact, each step rounds as the plain float operation would."""
+    if any(isinstance(x, float) for x in numbers):
+        return lambda x: (float(x), 1.0), lambda n, d: (n / d, 1.0), lambda n, d: n / d
+    return lambda x: (x.numerator, x.denominator), _reduce, Fraction
+
+
 def _eliminate(rows: list[dict[int, Conductance]], vertices: Iterable[int]) -> list[tuple]:
     """Schur steps on the symmetric matrix `rows`, in place, pivoting on
     the diagonal of each of `vertices`, shortest row first (lowest index
     on ties); `rows` is left holding the Schur complement.  On a
     Laplacian this is the star-mesh step, and the ground column moves
     each load to the neighbors in proportion to their conductances.
-    Returns (vertex, off-diagonal row, pivot) per step, in order."""
+
+    The entries become (numerator, denominator) pairs on entry
+    (`_arithmetic`), each update row - (x*y)/pivot reduces its quotient
+    and its difference once, and the rows left turn back into numbers.
+    Returns (vertex, off-diagonal row, pivot) per step, in order, as
+    pairs."""
+    pair, reduce, value = _arithmetic(x for row in rows for x in row.values())
+    for row in rows:
+        for b, x in row.items():
+            row[b] = pair(x)
     remaining = set(vertices)
     # (row length, vertex) entries; one whose vertex is gone or whose
     # length is out of date is skipped, so the first live entry is the
@@ -111,32 +138,48 @@ def _eliminate(rows: list[dict[int, Conductance]], vertices: Iterable[int]) -> l
             continue
         remaining.discard(v)
         row, rows[v] = rows[v], {}
-        pivot = row.pop(v, 0)
-        if pivot == 0:
+        pn, pd = row.pop(v, (0, 1))
+        if pn == 0:
             raise ReductionError(
                 f"vertex {v} has no neighbors left; the Schur complement is singular"
             )
         star = list(row.items())
-        order.append((v, star, pivot))
+        order.append((v, star, (pn, pd)))
         for w, _ in star:
             del rows[w][v]
-        for a_pos, (a, x) in enumerate(star):
+        for a_pos, (a, (xn, xd)) in enumerate(star):
             row_a = rows[a]
-            for b, y in star[a_pos:]:
-                row_a[b] = row_a.get(b, 0) - x * y / pivot
+            for b, (yn, yd) in star[a_pos:]:
+                tn, td = reduce(xn * yn * pd, xd * yd * pn)
+                rn, rd = row_a.get(b, (0, 1))
+                row_a[b] = reduce(rn * td - tn * rd, rd * td)
                 if b != a:
                     rows[b][a] = row_a[b]
             if a in remaining:
                 heapq.heappush(heap, (len(row_a), a))
+    for row in rows:
+        for b, (n, d) in row.items():
+            row[b] = value(n, d)
     return order
 
 
 def _back_substitute(order: list[tuple], values: list) -> list:
     """Fill in the vertices eliminated in `order`, last step first, from
     the values already known; the ground value scales the load (1 to
-    solve with it, 0 to interpolate without)."""
-    for v, star, pivot in reversed(order):
-        values[v] = -sum(x * values[w] for w, x in star) / pivot
+    solve with it, 0 to interpolate without).  The sum runs left to
+    right in `_eliminate`'s pair arithmetic, exact unless the steps or a
+    value are floats, and each value filled in turns back into a number."""
+    if not order:
+        return values
+    pair, reduce, value = _arithmetic([*order[0][2], *values])
+    known = [None if x is None else pair(x) for x in values]
+    for v, star, (pn, pd) in reversed(order):
+        sn, sd = 0, 1
+        for w, (xn, xd) in star:
+            un, ud = known[w]
+            sn, sd = reduce(sn * xd * ud + xn * un * sd, sd * xd * ud)
+        known[v] = reduce(-sn * pd, sd * pn)
+        values[v] = value(*known[v])
     return values
 
 

@@ -6,11 +6,14 @@ of star-mesh reduction, O(n^2) double loops instead of tree-accelerated
 pair scans, float linear solves instead of exact back-substitution,
 Fraction similitudes composed word by word instead of integer lattice
 numerators, Fraction sums and hull clips instead of integer ones.  Slow
-and obvious on purpose.
+and obvious on purpose.  The exceptions, at the end, are earlier
+kernels of the package kept as regression references: the pair-list
+ball scan and the plain-number Schur kernel.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -521,3 +524,46 @@ def ball_sums_by_pairs(points, w: np.ndarray, radii, vals=None):
             integral = float(np.sum(w * osc))
         out.append((volume, raw, len(i), integral))
     return out
+
+
+# The Schur kernel as it ran on plain numbers before it moved to
+# (numerator, denominator) pairs, kept as the reference that the float
+# path of network._eliminate and network._back_substitute must match bit
+# for bit: same heap pivot order, same row - (x*y)/pivot updates, same
+# left-to-right back-substitution sums.
+def eliminate_plain(rows, vertices):
+    """network._eliminate on plain numbers: the Schur complement left in
+    `rows`, and (vertex, off-diagonal row, pivot) per step."""
+    remaining = set(vertices)
+    heap = [(len(rows[u]), u) for u in remaining]
+    heapq.heapify(heap)
+    order = []
+    while remaining:
+        length, v = heapq.heappop(heap)
+        if v not in remaining or length != len(rows[v]):
+            continue
+        remaining.discard(v)
+        row, rows[v] = rows[v], {}
+        pivot = row.pop(v, 0)
+        if pivot == 0:
+            raise ReductionError(f"vertex {v} has no neighbors left")
+        star = list(row.items())
+        order.append((v, star, pivot))
+        for w, _ in star:
+            del rows[w][v]
+        for a_pos, (a, x) in enumerate(star):
+            row_a = rows[a]
+            for b, y in star[a_pos:]:
+                row_a[b] = row_a.get(b, 0) - x * y / pivot
+                if b != a:
+                    rows[b][a] = row_a[b]
+            if a in remaining:
+                heapq.heappush(heap, (len(row_a), a))
+    return order
+
+
+def back_substitute_plain(order, values):
+    """network._back_substitute on plain numbers."""
+    for v, star, pivot in reversed(order):
+        values[v] = -sum(x * values[w] for w, x in star) / pivot
+    return values

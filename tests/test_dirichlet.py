@@ -53,6 +53,14 @@ class TestSolveWeightedLaplacian:
         u = solve_weighted_laplacian(3, edges, {}, {0: F(0), 2: F(1)})
         assert u[1] == F(1, 3)
 
+    def test_int_inputs_are_exact(self):
+        # ints count as exact, as as_fraction treats them: no true division
+        # turns them into floats
+        ints = solve_weighted_laplacian(3, {(0, 1): 1, (1, 2): 1}, {}, {0: 0, 2: 1})
+        fractions = solve_weighted_laplacian(3, {(0, 1): F(1), (1, 2): F(1)}, {}, {0: F(0), 2: F(1)})
+        assert ints == fractions == [0, F(1, 2), 1]
+        assert type(ints[1]) is F
+
     def test_isolated_free_vertex_rejected(self):
         edges = {(0, 1): F(1)}
         with pytest.raises(ReductionError):
@@ -147,6 +155,19 @@ class TestHarmonicExtension:
             ur = harmonic_extension(hook, m, vals, method="recursive")
             ud = harmonic_extension(hook, m, vals, method="direct")
             assert ur.values == ud.values
+
+    @pytest.mark.parametrize("name", ["sg", "hook"])
+    def test_float_boundary_routes_equal_bit_for_bit(self, request, name):
+        # both routes take each float as its exact Fraction and round the
+        # exact extension once; a float solve on the level-m graph rounds
+        # at every step (58 sg and 835 hook values apart at m = 4)
+        ifs = request.getfixturevalue(name)
+        vals = (0.1, 0.7, -0.3)
+        for m in range(5):
+            ur = harmonic_extension(ifs, m, vals, method="recursive")
+            ud = harmonic_extension(ifs, m, vals, method="direct")
+            assert all(type(v) is float for v in ud.values)
+            assert [v.hex() for v in ud.values] == [v.hex() for v in ur.values]
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_recursive_matches_direct_composed(self, sg, m):

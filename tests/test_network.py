@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    back_substitute_plain,
     dense_laplacian,
     effective_resistance,
     effective_resistance_dense,
+    eliminate_plain,
     min_degree_order,
     schur_dense,
     schur_reduce_dense,
@@ -23,6 +25,7 @@ from walkdim.levelgraph import build_level_graph
 from walkdim.logratio import LogRatio
 from walkdim.network import (
     ConductanceNetwork,
+    _back_substitute,
     _eliminate,
     _matrix,
     dimension_report_from_constants,
@@ -158,6 +161,73 @@ class TestElectricalEquivalence:
         assert effective_resistance(net, 0, n - 1) == effective_resistance(
             red, 0, 1
         )
+
+
+@st.composite
+def loaded_problems(draw, number):
+    """(n, rows, fixed): a random symmetric matrix in the format `_matrix`
+    builds, with ground index n.  Off-diagonal entries of either sign
+    (drawn by `number`) on a connected graph, each diagonal the sum of its
+    row's absolute values plus a drawn mass, so that with a vertex fixed
+    every pivot is nonzero; loads as the ground column; fixed values."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    rows = [dict() for _ in range(n + 1)]
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.sampled_from([(i, j) for j in range(n) for i in range(j)]), max_size=n))
+    for i, j in pairs:
+        rows[i][j] = rows[j][i] = draw(number)
+    for v in range(n):
+        rows[v][v] = sum(abs(x) for x in rows[v].values()) + abs(draw(st.one_of(st.just(0), number)))
+    for v in draw(st.sets(st.integers(0, n - 1))):
+        rows[v][n] = rows[n][v] = draw(number)
+    fixed_vs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    return n, rows, {v: draw(number) for v in fixed_vs}
+
+
+exact_numbers = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+)
+float_numbers = st.floats(-10, 10).filter(lambda x: abs(x) > 0.05)
+
+
+def hexed(rows):
+    return [{b: x.hex() for b, x in row.items()} for row in rows]
+
+
+class TestSchurKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(loaded_problems(exact_numbers))
+    def test_exact_matches_dense_oracles(self, problem):
+        # int and Fraction entries mixed: the kernel is exact on both (the
+        # dense oracles divide, so they get Fractions)
+        n, rows, fixed = problem
+        dense = [[F(rows[a].get(b, 0)) for b in range(n + 1)] for a in range(n + 1)]
+        keep = (*sorted(fixed), n)
+        order = _eliminate(rows, set(range(n)) - set(fixed))
+        left = [[rows[a].get(b, 0) for b in keep] for a in keep]
+        assert left == schur_dense(dense, keep)
+        assert all(type(x) is F for a in keep for x in rows[a].values())
+        values = [fixed.get(v) for v in range(n)] + [1]
+        got = _back_substitute(order, values)[:n]
+        load = [-dense[v][n] for v in range(n)]
+        want = solve_dense([row[:n] for row in dense[:n]], load, {v: F(x) for v, x in fixed.items()})
+        assert got == want
+        assert all(type(got[v]) is F for v, _, _ in order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(loaded_problems(float_numbers))
+    def test_float_is_the_plain_kernel_bit_for_bit(self, problem):
+        n, rows, fixed = problem
+        plain_rows = [dict(row) for row in rows]
+        free = set(range(n)) - set(fixed)
+        order = _eliminate(rows, free)
+        plain_order = eliminate_plain(plain_rows, free)
+        assert [v for v, _, _ in order] == [v for v, _, _ in plain_order]
+        assert hexed(rows) == hexed(plain_rows)
+        values = [fixed.get(v) for v in range(n)] + [1.0]
+        got = _back_substitute(order, list(values))
+        assert [x.hex() for x in got] == [x.hex() for x in back_substitute_plain(plain_order, values)]
 
 
 class TestEffectiveResistance:
