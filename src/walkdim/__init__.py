@@ -35,7 +35,7 @@ _EXPORTS = {
     " vertex_measure_weights",
     "logratio": "Comparison LogRatio PowerCertificate Relation",
     "network": "ConductanceNetwork DimensionReport RenormResult dimension_report_from_constants"
-    " renorm_factor unit_complete_network walk_dimension",
+    " renorm_factor walk_dimension",
     "rational": "as_fraction format_rational parse_rational",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

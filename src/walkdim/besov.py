@@ -308,20 +308,6 @@ class BesovScan:
     supremum: float
     l2_norm: float
 
-    @property
-    def norm_sigma2(self) -> float:
-        """The scan summary norm: ||u||_2 + sup^(1/2)."""
-        return self.l2_norm + math.sqrt(self.supremum)
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "supremum": self.supremum,
-            "l2_norm": self.l2_norm,
-            "norm_sigma2": self.norm_sigma2,
-            "rows": [asdict(row) for row in self.rows],
-        }
-
 
 def besov_functional(
     source: PointSource,
@@ -402,23 +388,20 @@ def critical_exponent_fit(
     source: PointSource,
     u,
     r_window: tuple[float, float] = FIT_WINDOW,
-    r_grid: Optional[Sequence[float]] = None,
 ) -> CriticalExponentEstimate:
     """Least-squares slope of log(raw oscillation) against log r.
 
     For a critical witness (harmonic or coordinate function) the slope
     estimates the Besov critical exponent, matching the walk dimension.
-    Every grid radius gets exact open balls (see the module docstring).
+    The radii are the dyadic ones 2^-j nearest the window's edges and
+    between them, each with exact open balls (see the module docstring).
     """
     r_min, r_max = r_window
     if not (0 < r_min < r_max < 1):
         raise ValueError("window must satisfy 0 < r_min < r_max < 1")
-    if r_grid is None:
-        j_max = int(round(-math.log2(r_min)))
-        j_min = int(round(-math.log2(r_max)))
-        radii = dyadic_grid(max(1, j_min), j_max)
-    else:
-        radii = tuple(r_grid)
+    j_max = int(round(-math.log2(r_min)))
+    j_min = int(round(-math.log2(r_max)))
+    radii = dyadic_grid(max(1, j_min), j_max)
     rows = besov_functional(source, u, sigma=0.0, r_grid=radii).rows
     more = "the level (-m)" if isinstance(source, LevelGraph) else "the sample count (--sample)"
     # with fewer than four grid radii in the window, only a wider window adds radii
@@ -442,15 +425,6 @@ class AlforsReport:
     constant: float  # two-sided: max(max ratio, 1/min ratio)
     drift: float  # cross-scale factor between mean ratios
     flagged: bool  # drift beyond the misspecification threshold
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "constant": self.constant,
-            "drift": self.drift,
-            "flagged": self.flagged,
-            "rows": [asdict(row) for row in self.rows],
-        }
 
 
 DRIFT_THRESHOLD = 4.0
@@ -551,12 +525,6 @@ class LipschitzMap:
     @property
     def bilipschitz_constant(self) -> Fraction:
         return max(self.scale, 1 / self.scale)
-
-    def apply(self, p: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        return (
-            self.scale * p[0] + self.translation[0],
-            self.scale * p[1] + self.translation[1],
-        )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     WalkdimError,
 )
 from .ifs import IfsSpec, LatticePoints, load_system, preset_names, sample_measure, validate
-from .levelgraph import build_level_graph, components_after_removal
+from .levelgraph import build_level_graph, components_after_removal, level_vertex_count
 from .network import renorm_factor, walk_dimension
 from .rational import format_rational, json_number, parse_rational
 
@@ -106,14 +106,15 @@ def _coordinate(source: LatticePoints, name: str):
 
 def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]):
     """Build the level graph and resolve a named test function on it:
-    (graph, values), the values per vertex or the harmonic GraphFunction."""
-    if name == "harmonic":
-        u = dirichlet.harmonic_extension(ifs, level, _boundary_values(ifs, boundary))
+    (graph, values), the values per vertex or the harmonic GraphFunction.
+    A level past the pair-scan limit is refused before it is built."""
+    vals = _boundary_values(ifs, boundary) if name == "harmonic" else None
+    besov._check_pair_budget(level_vertex_count(ifs, level))
+    if vals is not None:
+        u = dirichlet.harmonic_extension(ifs, level, vals)
         return u.graph, u
-    if name in ("x", "y"):
-        graph = build_level_graph(ifs, level)
-        return graph, _coordinate(graph, name)
-    raise _ParseFailure(f"unknown function {name!r} (harmonic, x, y)")
+    graph = build_level_graph(ifs, level)
+    return graph, _coordinate(graph, name)
 
 
 # ---------------------------------------------------------------- commands
@@ -235,7 +236,7 @@ def _cmd_besov_fit(args):
 
 def _cmd_pushforward(args):
     ifs = _load(args.system)
-    _, u = _graph_function(ifs, args.level, args.function, args.boundary)
+    _, u = _graph_function(ifs, args.level, "harmonic", args.boundary)
     transform = besov.LipschitzMap(_rational(args.scale, "scale"), (0, 0))
     report = besov.pushforward_check(transform, ifs, u)
     payload = {"system": ifs.name, "level": args.level, **report.to_json()}
@@ -379,7 +380,6 @@ def _build_parser() -> _Parser:
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=6)
     p.add_argument("--scale", default="1/2", help="similarity ratio of the map")
-    p.add_argument("--function", choices=("harmonic",), default="harmonic")
     p.add_argument("--boundary", default=None)
     p.set_defaults(func=_cmd_pushforward)
 

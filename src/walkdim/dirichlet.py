@@ -308,15 +308,15 @@ def heat_kernel_diag(
     m: int,
     laziness: float = 0.5,
     t_grid: Optional[Sequence[int]] = None,
-    base_vertex: Optional[int] = None,
 ) -> HeatProfile:
     """Measure-normalized on-diagonal heat kernel of the lazy walk and
     its log-log decay slope.
 
-    p_t(x,x) = P^t(x,x)/w(x) with w the vertex measure weights; the walk
-    stays put with probability `laziness`.  The fit uses the window
-    t >= 10 and p_t above 1.1 times the stationary plateau (the
-    two-sided power-law regime).
+    p_t(x,x) = P^t(x,x)/w(x) at x = deep_interior_vertex(level-m graph),
+    with w the vertex measure weights; the walk stays put with
+    probability `laziness`.  The fit uses the window t >= 10 and p_t
+    above 1.1 times the stationary plateau (the two-sided power-law
+    regime).
     """
     import numpy as np
 
@@ -325,9 +325,7 @@ def heat_kernel_diag(
         raise ValueError("laziness must lie in (0,1)")
     g = build_level_graph(ifs, m)
     n = g.vertex_count
-    x = deep_interior_vertex(g) if base_vertex is None else base_vertex
-    if not (0 <= x < n):
-        raise ValueError("base vertex out of range")
+    x = deep_interior_vertex(g)
     times = tuple(sorted(set(default_time_grid() if t_grid is None else map(int, t_grid))))
     if not times or times[0] < 1:
         raise ValueError("time grid must contain positive integers")
@@ -372,7 +370,7 @@ def heat_kernel_diag(
     if len(usable) < 4:
         raise FitError(
             f"only {len(usable)} usable times in the fit window; "
-            f"raise the level or extend the grid"
+            f"raise the level (-m) or extend the grid (--t-max)"
         )
     slope, stderr = _loglog_fit([t for t, _ in usable], [p for _, p in usable])
     window = (usable[0][0], usable[-1][0])

@@ -93,6 +93,21 @@ def _check_level(ifs: IfsSpec, m: int) -> None:
         raise BudgetExceeded(cells, budget, "cells", "lower the level or raise WALKDIM_BUDGET")
 
 
+def level_vertex_count(ifs: IfsSpec, m: int) -> int:
+    """The vertex count of the level-m graph, without building it.
+
+    Cells meet only at images of V0 (validate), so level m glues N
+    copies of level m-1 at the same N*k - |V_1| corners that level 1
+    glues: V_0 = k and V_m = N*V_(m-1) - (N*k - |V_1|)."""
+    ensure_valid(ifs)
+    _check_level(ifs, m)
+    n, count = len(ifs.maps), len(ifs.boundary)
+    glued = n * count - len({s.apply(b) for s in ifs.maps for b in ifs.boundary})
+    for _ in range(m):
+        count = n * count - glued
+    return count
+
+
 def build_level_graph(ifs: IfsSpec, m: int) -> LevelGraph:
     """Enumerate all length-m cells, glue identical rational points.
 

@@ -67,14 +67,6 @@ class ConductanceNetwork:
         }
 
 
-def unit_complete_network(k: int) -> ConductanceNetwork:
-    """Complete graph on k vertices, all conductances 1, all boundary."""
-    if k < 2:
-        raise ValueError("need at least 2 vertices")
-    edges = {(i, j): Fraction(1) for i in range(k) for j in range(i + 1, k)}
-    return ConductanceNetwork(k, edges, tuple(range(k)))
-
-
 def _matrix(
     vertex_count: int, edges: dict[Edge, Conductance], load: dict[int, Conductance]
 ) -> list[dict[int, Conductance]]:

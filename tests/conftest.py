@@ -18,6 +18,28 @@ SHIFTED_HOOK = {
     "boundary": [["1/2", "0"], ["3/2", "0"], ["1/2", "1"]],
 }
 
+# The n = 4 grid gasket on seven of its ten cells: its unit network is
+# not renormalization-fixed, and the power iteration that Newton's
+# method replaced needed 191 steps on it.
+SLOW_GRID = {
+    "name": "slow-grid",
+    "maps": [
+        {"ratio": "1/4", "translate": [f"{i}/4", f"{j}/4"]}
+        for i, j in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 0), (3, 0)]
+    ],
+    "boundary": [["0", "0"], ["1", "0"], ["0", "1"]],
+}
+
+# The Vicsek cross: five cells of the 3 x 3 grid, four corners.
+VICSEK = {
+    "name": "vicsek",
+    "maps": [
+        {"ratio": "1/3", "translate": [f"{x}/3", f"{y}/3"]}
+        for x, y in [(0, 0), (2, 0), (1, 1), (0, 2), (2, 2)]
+    ],
+    "boundary": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]],
+}
+
 
 @pytest.fixture(scope="session")
 def sg():

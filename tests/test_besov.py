@@ -48,6 +48,11 @@ def lattice_cloud(points):
     return LatticePoints(tuple((int(x * den), int(y * den)) for x, y in points), den)
 
 
+def mapped(scale, points, shift=(0, 0)):
+    """The exact images scale*p + shift of Fraction points."""
+    return tuple((scale * x + shift[0], scale * y + shift[1]) for x, y in points)
+
+
 class TestDyadicGrid:
     def test_default(self):
         grid = dyadic_grid()
@@ -222,7 +227,7 @@ class TestBallSums:
         radii = [0.5, 0.2, 1 / 7, 1 / 21, 1 / 9]
         for ifs, scale in ((sg, F(1, 3)), (hook, F(5, 2))):
             g = build_level_graph(ifs, 2)
-            points = tuple(map(LipschitzMap(scale, (F(2, 7), F(-5, 3))).apply, g.points))
+            points = mapped(scale, g.points, (F(2, 7), F(-5, 3)))
             translated = lattice_cloud(points)
             assert translated.points == points
             self.assert_brute(translated, radii)
@@ -407,15 +412,6 @@ class TestBesovFunctional:
         with pytest.raises(BudgetExceeded):
             besov_functional(s, np.zeros(20001), sigma=1.0)
 
-    def test_json_shape(self, sg):
-        u = harmonic_on(sg, 2)
-        payload = besov_functional(u.graph, u, sigma=1.0).to_json()
-        assert payload["sigma"] == 1.0
-        assert len(payload["rows"]) == 5
-        assert set(payload["rows"][0]) == {
-            "r", "raw", "scaled", "volume_min", "volume_max", "pair_count",
-        }
-
 
 class TestCriticalExponentFit:
     def test_harmonic_slope_near_walk_dimension(self, sg):
@@ -441,9 +437,10 @@ class TestCriticalExponentFit:
             critical_exponent_fit(u.graph, u, r_window=(0.5, 0.25))
 
     def test_too_few_radii(self, sg):
+        # [0.1, 0.5] holds the grid radii 1/2, 1/4 and 1/8 alone
         u = harmonic_on(sg, 5)
-        with pytest.raises(FitError):
-            critical_exponent_fit(u.graph, u, r_grid=[0.5, 0.25, 0.125])
+        with pytest.raises(FitError, match="--r-min"):
+            critical_exponent_fit(u.graph, u, r_window=(0.1, 0.5))
 
     def test_coarse_level_unusable_radii_rejected(self, sg):
         # level 2 leaves at most 2 radii with pairs inside the default
@@ -719,10 +716,6 @@ class TestTernaryLattice:
 
 
 class TestLipschitzMap:
-    def test_apply_exact(self):
-        t = LipschitzMap(F(1, 2), (F(3, 7), F(-2, 5)))
-        assert t.apply((F(2), F(10))) == (F(1) + F(3, 7), F(5) - F(2, 5))
-
     def test_bilipschitz_constant(self):
         assert LipschitzMap(F(1, 2), (F(0), F(0))).bilipschitz_constant == 2
         assert LipschitzMap(F(3), (F(0), F(0))).bilipschitz_constant == 3
@@ -818,7 +811,7 @@ class TestPushforward:
         t = LipschitzMap(scale, (F(0), F(0)))
         rep = pushforward_check(t, ifs, u, r_grid=grid)
         pts = u.graph.vertices
-        img = tuple(map(t.apply, pts))
+        img = mapped(scale, pts)
         w = np.array([float(v) for v in vertex_measure_weights(u.graph)])
         w_img = w * float(scale) ** hausdorff_dim(ifs).value
         vals = u.float_values()
@@ -898,7 +891,7 @@ class TestLatticeFloats:
         # the float(Fraction) points, and its open balls at rho hold the
         # source pairs at the exact rho/scale
         g = build_level_graph(lattice_systems[name], m)
-        img = lattice_cloud(tuple(map(LipschitzMap(scale, (F(0), F(0))).apply, g.vertices)))
+        img = lattice_cloud(mapped(scale, g.vertices))
         assert img.float_points().tolist() == [[float(x), float(y)] for x, y in img.points]
         radii = (0.5, 0.2, 1 / 7)
         n = g.vertex_count

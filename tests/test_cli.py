@@ -12,6 +12,8 @@ import pytest
 
 import walkdim.cli
 import walkdim.dirichlet
+import walkdim.levelgraph
+from conftest import SLOW_GRID
 from walkdim.besov import critical_exponent_fit
 from walkdim.cli import main
 from walkdim.ifs import sample_measure
@@ -243,6 +245,12 @@ class TestExitAndHeat:
         assert payload["error"] == "value"
         assert "--points" in payload["detail"]
 
+    def test_heat_fit_short_window_names_its_knobs(self, capsys):
+        rc, payload = run(capsys, "heat-fit", "sg", "-m", "6", "--t-max", "12")
+        assert rc == 1
+        assert payload["error"] == "fit"
+        assert "(-m)" in payload["detail"] and "(--t-max)" in payload["detail"]
+
     def test_heat_fit_bad_laziness(self, capsys):
         rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", "--laziness", "2")
         assert rc == 1
@@ -357,6 +365,13 @@ class TestPushforward:
         assert payload["error"] == "usage"
         assert "--translate" in payload["detail"]
 
+    def test_function_is_a_usage_error(self, capsys):
+        # the audit runs on the harmonic extension alone
+        rc, payload = run(capsys, "pushforward", "sg", "--function", "harmonic")
+        assert rc == 2
+        assert payload["error"] == "usage"
+        assert "--function" in payload["detail"]
+
     def test_large_scale_numerator_runs(self, capsys):
         # the audit scans the source graph alone, so no scale enters its
         # integers: a large numerator only moves the radii
@@ -384,6 +399,28 @@ def test_level_graph_built_once(capsys, monkeypatch, command):
     assert levels.count(3) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("besov-fit",), ("besov-fit", "--function", "x"), ("pushforward",)],
+    ids=["besov-fit", "besov-fit-x", "pushforward"],
+)
+def test_pair_scan_level_refused_before_build(capsys, monkeypatch, argv):
+    # level 9 of sg has (3^10 + 3)/2 = 29526 > besov.MAX_SCAN_POINTS vertices
+    real = walkdim.levelgraph.build_level_graph
+
+    def refusing(ifs, m):
+        if m >= 9:
+            raise AssertionError(f"built the level-{m} graph")
+        return real(ifs, m)
+
+    for module in (walkdim.cli, walkdim.dirichlet, walkdim.levelgraph):
+        monkeypatch.setattr(module, "build_level_graph", refusing)
+    rc, payload = run(capsys, argv[0], "sg", "-m", "9", *argv[1:])
+    assert rc == 1
+    assert payload["error"] == "budget"
+    assert payload["detail"].startswith("refusing to build 29526 pair-scan points (budget 20000)")
+
+
 def _readme_commands() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
@@ -399,19 +436,6 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         rc = main(shlex.split(line, comments=True)[1:])
         out = capsys.readouterr().out
         assert rc == 0, f"{line}\n{out}"
-
-
-# The n = 4 grid gasket on seven of its ten cells: its unit network is
-# not renormalization-fixed, and the power iteration that Newton's
-# method replaced needed 191 steps on it.
-SLOW_GRID = {
-    "name": "slow-grid",
-    "maps": [
-        {"ratio": "1/4", "translate": [f"{i}/4", f"{j}/4"]}
-        for i, j in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 0), (3, 0)]
-    ],
-    "boundary": [["0", "0"], ["1", "0"], ["0", "1"]],
-}
 
 
 class TestRenormalization:

@@ -415,10 +415,6 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel_diag(sg, 2, laziness=lazy)
 
-    def test_base_vertex_range_checked(self, sg):
-        with pytest.raises(ValueError):
-            heat_kernel_diag(sg, 1, base_vertex=10_000)
-
     def test_time_grid_validated(self, sg):
         with pytest.raises(ValueError):
             heat_kernel_diag(sg, 2, t_grid=[0, 5, 10])

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import SLOW_GRID, VICSEK
 from oracles import level_graph_wordwise
 from walkdim.errors import BudgetExceeded, WalkdimError
-from walkdim.ifs import LatticePoints, compose, sample_measure
+from walkdim.ifs import IfsSpec, LatticePoints, compose, sample_measure
 from walkdim.besov import (
     LipschitzMap,
     alfors_check,
@@ -18,6 +19,7 @@ from walkdim.levelgraph import (
     build_level_graph,
     cell_budget,
     components_after_removal,
+    level_vertex_count,
     vertex_measure_weights,
 )
 
@@ -115,6 +117,21 @@ class TestLatticeGluing:
         assert all(type(c) is Fraction for p in g.vertices for c in p)
 
 
+class TestVertexCount:
+    @pytest.fixture(scope="class")
+    def systems(self, lattice_systems):
+        return {
+            **{name: lattice_systems[name] for name in ("sg", "segment", "hook")},
+            "vicsek": IfsSpec.from_json(VICSEK),
+            "slow-grid": IfsSpec.from_json(SLOW_GRID),
+        }
+
+    @pytest.mark.parametrize("m", range(0, 6))
+    @pytest.mark.parametrize("name", ["sg", "segment", "hook", "vicsek", "slow-grid"])
+    def test_recursion_matches_build(self, systems, name, m):
+        assert level_vertex_count(systems[name], m) == build_level_graph(systems[name], m).vertex_count
+
+
 class TestLazyVertices:
     def test_built_once(self, sg):
         g = build_level_graph(sg, 3)
@@ -170,9 +187,10 @@ class TestBudget:
 
     def test_exceeded(self, sg, monkeypatch):
         monkeypatch.setenv("WALKDIM_BUDGET", "10")
-        with pytest.raises(BudgetExceeded) as exc:
-            build_level_graph(sg, 5)
-        assert "WALKDIM_BUDGET" in str(exc.value)
+        for count_or_build in (level_vertex_count, build_level_graph):
+            with pytest.raises(BudgetExceeded) as exc:
+                count_or_build(sg, 5)
+            assert "WALKDIM_BUDGET" in str(exc.value)
 
     def test_within_budget_runs(self, sg, monkeypatch):
         monkeypatch.setenv("WALKDIM_BUDGET", "27")

@@ -31,11 +31,12 @@ from walkdim.network import (
     dimension_report_from_constants,
     _refine,
     renorm_factor,
-    unit_complete_network,
     walk_dimension,
 )
 
 F = Fraction
+# the complete graph on three vertices, unit conductances
+UNIT_TRIANGLE = {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1)}
 
 
 def trace_edges(n, edges, boundary):
@@ -91,7 +92,7 @@ class TestReduction:
             _eliminate(_matrix(3, {(0, 1): F(1)}, {}), {2})
 
     def test_no_interior_is_identity(self):
-        edges = unit_complete_network(3).conductances
+        edges = UNIT_TRIANGLE
         rows = _matrix(3, edges, {})
         assert _eliminate(rows, set()) == []
         assert rows == _matrix(3, edges, {})
@@ -232,7 +233,7 @@ class TestSchurKernel:
 
 class TestEffectiveResistance:
     def test_unit_triangle(self):
-        assert effective_resistance(unit_complete_network(3), 0, 1) == F(2, 3)
+        assert effective_resistance(ConductanceNetwork(3, UNIT_TRIANGLE, (0, 1, 2)), 0, 1) == F(2, 3)
 
     def test_series_path(self):
         net = ConductanceNetwork(3, {(0, 1): F(1), (1, 2): F(1)}, (0, 2))
@@ -240,7 +241,7 @@ class TestEffectiveResistance:
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
-            effective_resistance(unit_complete_network(3), 1, 1)
+            effective_resistance(ConductanceNetwork(3, UNIT_TRIANGLE, (0, 1, 2)), 1, 1)
 
     def test_disconnected_pair_rejected(self):
         net = ConductanceNetwork(4, {(0, 1): F(1), (2, 3): F(1)}, (0, 3))
@@ -263,14 +264,14 @@ def glue(ifs, cell_edges, cell_load):
 
 class TestReplicate:
     def test_sg_one_level(self, sg):
-        g1, edges, _ = glue(sg, unit_complete_network(3).conductances, (F(0),) * 3)
+        g1, edges, _ = glue(sg, UNIT_TRIANGLE, (F(0),) * 3)
         assert g1.vertex_count == 6
         assert len(edges) == 9
         assert len(g1.boundary_indices()) == 3
 
     def test_conductances_add_on_shared_edges(self, sg):
         # no two sg cells share an edge, so every conductance stays 1
-        _, edges, _ = glue(sg, unit_complete_network(3).conductances, (F(0),) * 3)
+        _, edges, _ = glue(sg, UNIT_TRIANGLE, (F(0),) * 3)
         assert set(edges.values()) == {F(1)}
 
 
