@@ -31,8 +31,7 @@ _EXPORTS = {
     " WalkdimError",
     "ifs": "IfsSpec MeasureSample Similitude ValidationReport attractor_hull compose"
     " hausdorff_dim load_system preset preset_names sample_measure validate",
-    "levelgraph": "LevelGraph build_level_graph cell_budget components_after_removal"
-    " vertex_measure_weights",
+    "levelgraph": "LevelGraph build_level_graph components_after_removal vertex_measure_weights",
     "logratio": "Comparison LogRatio PowerCertificate Relation",
     "network": "ConductanceNetwork DimensionReport RenormResult dimension_report_from_constants"
     " renorm_factor walk_dimension",

@@ -64,10 +64,11 @@ def _weights(source: PointSource) -> np.ndarray:
     raise TypeError("point source must be a LevelGraph or MeasureSample")
 
 
-def _check_pair_budget(n: int) -> None:
+def _check_pair_budget(n: int, sampled: bool) -> None:
     # quadratic pair enumeration; a sample's strided ball counts are exempt
     if n > MAX_SCAN_POINTS:
-        remedy = "use fewer points or a lower level (fixed limit besov.MAX_SCAN_POINTS)"
+        knob = "sample count (--sample)" if sampled else "level (-m)"
+        remedy = f"lower the {knob} (fixed limit besov.MAX_SCAN_POINTS)"
         raise BudgetExceeded(n, MAX_SCAN_POINTS, "pair-scan points", remedy)
 
 
@@ -198,7 +199,7 @@ def _ball_sums(
     import numpy as np
 
     n = len(points.numerators)
-    _check_pair_budget(n)
+    _check_pair_budget(n, isinstance(points, MeasureSample))
     order, x, bound, top, squared = _sorted_cloud(points, radii)
     balls = sorted(set(bound))  # the distinct bounds, increasing
     k = len(balls)
@@ -398,7 +399,10 @@ def critical_exponent_fit(
     """
     r_min, r_max = r_window
     if not (0 < r_min < r_max < 1):
-        raise ValueError("window must satisfy 0 < r_min < r_max < 1")
+        raise ValueError(
+            f"window must satisfy 0 < r_min < r_max < 1 (--r-min, --r-max); "
+            f"got r_min = {r_min}, r_max = {r_max}"
+        )
     j_max = int(round(-math.log2(r_min)))
     j_min = int(round(-math.log2(r_max)))
     radii = dyadic_grid(max(1, j_min), j_max)
@@ -451,7 +455,7 @@ def _regularity_volumes(
     if key in source.ball_volumes:
         return source.ball_volumes[key]
     if not uniform:
-        _check_pair_budget(n)
+        _check_pair_budget(n, False)
     w = np.ones(n) if uniform else np.array(_cell_counts(source)[0], dtype=float)
     mass = _ball_masses(source, centers, radii, w)
     w_c = w[np.array(centers, dtype=np.intp)]
@@ -520,7 +524,10 @@ class LipschitzMap:
         object.__setattr__(self, "scale", as_fraction(self.scale))
         object.__setattr__(self, "translation", as_point(self.translation))
         if self.scale <= 0:
-            raise ValueError("scale must be positive (invertible, orientation-true)")
+            raise ValueError(
+                f"scale must be positive, so that the map is invertible and "
+                f"orientation-true (--scale); got {self.scale}"
+            )
 
     @property
     def bilipschitz_constant(self) -> Fraction:

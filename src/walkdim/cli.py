@@ -109,7 +109,7 @@ def _graph_function(ifs: IfsSpec, level: int, name: str, boundary: Optional[str]
     (graph, values), the values per vertex or the harmonic GraphFunction.
     A level past the pair-scan limit is refused before it is built."""
     vals = _boundary_values(ifs, boundary) if name == "harmonic" else None
-    besov._check_pair_budget(level_vertex_count(ifs, level))
+    besov._check_pair_budget(level_vertex_count(ifs, level), False)
     if vals is not None:
         u = dirichlet.harmonic_extension(ifs, level, vals)
         return u.graph, u
@@ -199,9 +199,8 @@ def _cmd_exit_fit(args):
 
 def _cmd_heat_fit(args):
     ifs = _load(args.system)
-    laziness = float(_rational(args.laziness, "laziness"))
     grid = dirichlet.default_time_grid(args.t_min, args.t_max, args.points)
-    profile = dirichlet.heat_kernel_diag(ifs, args.level, laziness=laziness, t_grid=grid)
+    profile = dirichlet.heat_kernel_diag(ifs, args.level, t_grid=grid)
     payload = {"system": ifs.name, "level": args.level, **profile.to_json()}
     rows = [[t, p] for t, p in zip(profile.times, profile.diag_values)]
     return payload, (["t", "p_diag"], rows)
@@ -214,7 +213,7 @@ def _cmd_besov_fit(args):
             raise _ParseFailure(
                 "--sample supports coordinate functions only (x, y)"
             )
-        besov._check_pair_budget(args.sample)
+        besov._check_pair_budget(args.sample, True)
         source = sample_measure(ifs, depth=args.depth, count=args.sample, seed=args.seed)
         u = _coordinate(source, args.function)
     else:
@@ -291,13 +290,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     out = _Parser(add_help=False)
-    out.add_argument("--out", help="write the data table (or summary) to this file")
-    out.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="--out file format: csv data table or json summary (default csv)",
-    )
+    out.add_argument("--out", help="write the CSV data table (or JSON summary) to this file")
 
     p = sub.add_parser("validate", parents=[out], help="run structural checks")
     p.add_argument("system", help="preset name or JSON config path")
@@ -348,7 +341,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("system")
     p.add_argument("-m", "--level", type=int, default=6)
-    p.add_argument("--laziness", default="1/2", help="hold probability (default 1/2)")
     p.add_argument("--t-min", type=int, default=10)
     p.add_argument("--t-max", type=int, default=1000)
     p.add_argument("--points", type=int, default=30)
@@ -437,8 +429,8 @@ def _emit_error(code: str, detail: str) -> None:
     print(json.dumps({"error": code, "detail": detail}, indent=2))
 
 
-def _write_out(path: str, fmt: str, payload: dict, table) -> None:
-    if fmt == "json" or table is None:
+def _write_out(path: str, payload: dict, table) -> None:
+    if table is None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -473,7 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = getattr(args, "out", None)
     if out:
         try:
-            _write_out(out, args.format, payload, table)
+            _write_out(out, payload, table)
         except OSError as exc:
             _emit_error("file", str(exc))
             return 1

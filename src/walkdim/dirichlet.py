@@ -212,7 +212,7 @@ def exit_time_profile(ifs: IfsSpec, m_max: int, start: int = 0) -> ExitTimeRepor
     ensure_valid(ifs)
     k = len(ifs.boundary)
     if not (0 <= start < k):
-        raise ValueError(f"start must index a boundary vertex (0..{k - 1})")
+        raise ValueError(f"start must index a boundary vertex, 0..{k - 1} (--start); got {start}")
     _check_level(ifs, m_max)
     rows: list[tuple[int, Fraction]] = []
     for m, (cell, _) in enumerate(_unit_levels(build_level_graph(ifs, 1), m_max)):
@@ -297,6 +297,8 @@ def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tu
     return tuple(map(int, grid))
 
 
+# The lazy walk's hold probability, which keeps the walk aperiodic.
+_HOLD = 0.5
 # The heat-kernel fit window: times from _T_MIN_FIT on, while p_t stays
 # above _PLATEAU_FACTOR times the stationary plateau.
 _PLATEAU_FACTOR = 1.1
@@ -306,7 +308,6 @@ _T_MIN_FIT = 10
 def heat_kernel_diag(
     ifs: IfsSpec,
     m: int,
-    laziness: float = 0.5,
     t_grid: Optional[Sequence[int]] = None,
 ) -> HeatProfile:
     """Measure-normalized on-diagonal heat kernel of the lazy walk and
@@ -314,15 +315,13 @@ def heat_kernel_diag(
 
     p_t(x,x) = P^t(x,x)/w(x) at x = deep_interior_vertex(level-m graph),
     with w the vertex measure weights; the walk stays put with
-    probability `laziness`.  The fit uses the window t >= 10 and p_t
+    probability _HOLD = 1/2.  The fit uses the window t >= 10 and p_t
     above 1.1 times the stationary plateau (the two-sided power-law
     regime).
     """
     import numpy as np
 
     ensure_valid(ifs)
-    if not (0 < laziness < 1):
-        raise ValueError("laziness must lie in (0,1)")
     g = build_level_graph(ifs, m)
     n = g.vertex_count
     x = deep_interior_vertex(g)
@@ -331,12 +330,12 @@ def heat_kernel_diag(
         raise ValueError("time grid must contain positive integers")
 
     # P^T as a padded table: slot s of column v holds the s-th entry
-    # P(u, v), u ascending (v itself included, weight `laziness`); the
+    # P(u, v), u ascending (v itself included, weight _HOLD); the
     # padding has weight 0.  A step sums the slots in order, as a sparse
     # row-by-vector product sums a row.
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     degrees = np.bincount(ends.ravel(), minlength=n).astype(float)
-    move = (1.0 - laziness) * (1.0 / degrees)
+    move = (1.0 - _HOLD) * (1.0 / degrees)
     stay = np.arange(n)
     src = np.concatenate([ends[:, 0], ends[:, 1], stay])
     dst = np.concatenate([ends[:, 1], ends[:, 0], stay])
@@ -346,7 +345,7 @@ def heat_kernel_diag(
     cols = np.zeros((slot.max() + 1, n), dtype=np.intp)
     weights = np.zeros(cols.shape)
     cols[slot, dst] = src
-    weights[slot, dst] = np.where(src == dst, laziness, move[src])
+    weights[slot, dst] = np.where(src == dst, _HOLD, move[src])
 
     measure = np.array(_float_measure_weights(g))
     pi = degrees / degrees.sum()
@@ -374,4 +373,4 @@ def heat_kernel_diag(
         )
     slope, stderr = _loglog_fit([t for t, _ in usable], [p for _, p in usable])
     window = (usable[0][0], usable[-1][0])
-    return HeatProfile(times, tuple(diag), laziness, x, slope, stderr, window, plateau)
+    return HeatProfile(times, tuple(diag), _HOLD, x, slope, stderr, window, plateau)

@@ -399,7 +399,10 @@ def sample_measure(
     Composed and kept on integer numerators (_lattice)."""
     ensure_valid(ifs)
     if depth < 1 or count < 1:
-        raise ValueError("depth and count must be >= 1")
+        raise ValueError(
+            f"depth and count must be >= 1 (--depth, --sample); got depth = {depth}, "
+            f"count = {count}"
+        )
     digits = _uniform_digits(random.Random(seed), len(ifs.maps), count * depth)
     p, q, d, T, B = _lattice(ifs)
     q_powers = [q ** (j + 1) for j in range(depth)]

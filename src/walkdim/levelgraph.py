@@ -11,7 +11,6 @@ pairs keep), making graph builds reproducible.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,20 +20,8 @@ from .errors import BudgetExceeded, WalkdimError
 from .ifs import IfsSpec, LatticePoints, _lattice, ensure_valid
 from .rational import format_rational
 
-DEFAULT_CELL_BUDGET = 10 ** 6
-
-
-def cell_budget() -> int:
-    raw = os.environ.get("WALKDIM_BUDGET")
-    if raw is None:
-        return DEFAULT_CELL_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise WalkdimError(f"WALKDIM_BUDGET must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise WalkdimError("WALKDIM_BUDGET must be positive")
-    return value
+# Level graphs enumerate every length-m cell; keep them desk-sized.
+MAX_CELLS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -85,12 +72,13 @@ class LevelGraph(LatticePoints):
 
 
 def _check_level(ifs: IfsSpec, m: int) -> None:
-    """Refuse a negative level, or one with more cells than the budget."""
+    """Refuse a negative level, or one with more than MAX_CELLS cells."""
     if m < 0:
-        raise ValueError("level must be >= 0")
-    cells, budget = len(ifs.maps) ** m, cell_budget()
-    if cells > budget:
-        raise BudgetExceeded(cells, budget, "cells", "lower the level or raise WALKDIM_BUDGET")
+        raise ValueError(f"level must be >= 0 (-m); got {m}")
+    cells = len(ifs.maps) ** m
+    if cells > MAX_CELLS:
+        remedy = "lower the level (-m) (fixed limit levelgraph.MAX_CELLS)"
+        raise BudgetExceeded(cells, MAX_CELLS, "cells", remedy)
 
 
 def level_vertex_count(ifs: IfsSpec, m: int) -> int:

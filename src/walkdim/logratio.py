@@ -26,6 +26,9 @@ _CERTIFICATE_LIMIT = 10 ** 12
 # Largest root exponent probed when extracting a primitive root.
 _MAX_ROOT_EXPONENT = 64
 
+# Incommensurable values closer than this are inconclusive, not distinct.
+FLOAT_TOL = 1e-9
+
 
 class Relation(enum.Enum):
     EQUAL = "equal"
@@ -218,13 +221,13 @@ class LogRatio:
             return None
         return Fraction(sign * ja, jb)
 
-    def compare(self, other: "LogRatio", float_tol: float = 1e-9) -> Comparison:
+    def compare(self, other: "LogRatio") -> Comparison:
         """Exact three-way comparison with a separating certificate.
 
         Equality and distinctness are decided by integer arithmetic when
         the two bases share a primitive root (a zero value shares every
         root) or both values are rational.  Incommensurable bases fall
-        back to floats: a gap above float_tol is reported distinct
+        back to floats: a gap above FLOAT_TOL is reported distinct
         (without an integer certificate), anything closer is
         inconclusive.
         """
@@ -259,7 +262,7 @@ class LogRatio:
         if other.argument == 1:
             s2, j2 = s1, 1
         if s1 != s2:
-            if abs(gap) > float_tol:
+            if abs(gap) > FLOAT_TOL:
                 return Comparison(Relation.DISTINCT, None, gap, "float")
             return Comparison(Relation.INCONCLUSIVE, None, gap, "float")
 

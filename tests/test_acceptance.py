@@ -147,7 +147,7 @@ def test_criterion_06_exit_time_scaling():
 
 def test_criterion_07_heat_kernel_exponent():
     t0 = time.perf_counter()
-    prof = heat_kernel_diag(SG, 6, laziness=0.5)
+    prof = heat_kernel_diag(SG, 6)
     elapsed = time.perf_counter() - t0
     target = -math.log(3) / math.log(5)
     ok = (

@@ -252,9 +252,10 @@ class TestExitAndHeat:
         assert "(-m)" in payload["detail"] and "(--t-max)" in payload["detail"]
 
     def test_heat_fit_bad_laziness(self, capsys):
-        rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", "--laziness", "2")
-        assert rc == 1
-        assert payload["error"] == "value"
+        # the walk's hold probability is the constant 1/2, not an option
+        rc, payload = run(capsys, "heat-fit", "sg", "-m", "3", "--laziness", "1/2")
+        assert rc == 2
+        assert payload["error"] == "usage"
 
 
 class TestBesovFit:
@@ -291,7 +292,7 @@ class TestBesovFit:
         )
         assert rc == 1
         assert payload["error"] == "budget"
-        assert "WALKDIM_BUDGET" not in payload["detail"]
+        assert "(--sample)" in payload["detail"]
 
     @pytest.mark.parametrize("cloud", [("--sample", "2000"), ("-m", "5")])
     def test_y_coordinate_function(self, capsys, sg, cloud):
@@ -421,6 +422,28 @@ def test_pair_scan_level_refused_before_build(capsys, monkeypatch, argv):
     assert payload["detail"].startswith("refusing to build 29526 pair-scan points (budget 20000)")
 
 
+@pytest.mark.parametrize(
+    "line, code, option",
+    [
+        ("graph sg -m 13", "budget", "(-m)"),
+        ("exit-fit bench/hook.json -m 9", "budget", "(-m)"),
+        ("besov-fit sg -m 9", "budget", "(-m)"),
+        ("besov-fit sg --sample 20001 --function x", "budget", "(--sample)"),
+        ("besov-fit sg -m -1", "value", "(-m)"),
+        ("besov-fit sg -m 5 --r-min 1/2 --r-max 1/4", "value", "(--r-min, --r-max)"),
+        ("besov-fit sg --sample 500 --depth 0 --function x", "value", "(--depth, --sample)"),
+        ("pushforward sg -m 4 --scale 0", "value", "(--scale)"),
+        ("exit-fit sg -m 3 --start -1", "value", "(--start)"),
+    ],
+)
+def test_refusal_names_its_option(capsys, monkeypatch, line, code, option):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    rc, payload = run(capsys, *line.split())
+    assert rc == 1
+    assert payload["error"] == code
+    assert option in payload["detail"]
+
+
 def _readme_commands() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
@@ -524,11 +547,14 @@ class TestErrorPaths:
         assert payload["error"] in ("config", "file")
 
     def test_budget_env(self, capsys, monkeypatch):
+        # the cell limit is the constant levelgraph.MAX_CELLS; nothing reads WALKDIM_BUDGET
         monkeypatch.setenv("WALKDIM_BUDGET", "10")
+        assert run(capsys, "graph", "sg", "-m", "4")[0] == 0
+        monkeypatch.setattr(walkdim.levelgraph, "MAX_CELLS", 10)
         rc, payload = run(capsys, "graph", "sg", "-m", "4")
         assert rc == 1
         assert payload["error"] == "budget"
-        assert "WALKDIM_BUDGET" in payload["detail"]
+        assert "(-m)" in payload["detail"]
 
 
 class TestOutputFiles:
@@ -542,16 +568,18 @@ class TestOutputFiles:
         assert len(rows) - 1 == payload["edge_count"] == 9
 
     def test_json_out(self, capsys, tmp_path):
+        # --out writes the table, or the summary that stdout prints; --format is no option
         path = tmp_path / "renorm.json"
         rc, payload = run(
             capsys, "renorm", "sg", "--out", str(path), "--format", "json"
         )
-        assert rc == 0
-        assert json.loads(path.read_text()) == payload
+        assert rc == 2
+        assert payload["error"] == "usage"
+        assert not path.exists()
 
     def test_summary_out_without_table(self, capsys, tmp_path):
-        # commands with no data table write the JSON summary even in csv
-        # mode rather than an empty file
+        # commands with no data table write the JSON summary rather than
+        # an empty file
         path = tmp_path / "dim.csv"
         rc, payload = run(capsys, "dim", "sg", "--out", str(path))
         assert rc == 0

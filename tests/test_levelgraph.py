@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import walkdim.levelgraph
 from conftest import SLOW_GRID, VICSEK
 from oracles import level_graph_wordwise
 from walkdim.errors import BudgetExceeded, WalkdimError
@@ -15,9 +16,7 @@ from walkdim.besov import (
 )
 from walkdim.dirichlet import harmonic_extension, heat_kernel_diag
 from walkdim.levelgraph import (
-    DEFAULT_CELL_BUDGET,
     build_level_graph,
-    cell_budget,
     components_after_removal,
     level_vertex_count,
     vertex_measure_weights,
@@ -167,33 +166,16 @@ class TestLazyVertices:
 
 
 class TestBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("WALKDIM_BUDGET", raising=False)
-        assert cell_budget() == DEFAULT_CELL_BUDGET
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("WALKDIM_BUDGET", "123")
-        assert cell_budget() == 123
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("WALKDIM_BUDGET", "lots")
-        with pytest.raises(WalkdimError):
-            cell_budget()
-
-    def test_env_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("WALKDIM_BUDGET", "0")
-        with pytest.raises(WalkdimError):
-            cell_budget()
-
     def test_exceeded(self, sg, monkeypatch):
-        monkeypatch.setenv("WALKDIM_BUDGET", "10")
+        monkeypatch.setattr(walkdim.levelgraph, "MAX_CELLS", 10)
         for count_or_build in (level_vertex_count, build_level_graph):
             with pytest.raises(BudgetExceeded) as exc:
                 count_or_build(sg, 5)
-            assert "WALKDIM_BUDGET" in str(exc.value)
+            assert exc.value.budget == 10
+            assert "(-m)" in str(exc.value) and "levelgraph.MAX_CELLS" in str(exc.value)
 
     def test_within_budget_runs(self, sg, monkeypatch):
-        monkeypatch.setenv("WALKDIM_BUDGET", "27")
+        monkeypatch.setattr(walkdim.levelgraph, "MAX_CELLS", 27)
         assert build_level_graph(sg, 3).vertex_count == 42
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from walkdim.audit import verify_certificate
 from walkdim.logratio import (
+    FLOAT_TOL,
     LogRatio,
     PowerCertificate,
     Relation,
@@ -216,10 +217,11 @@ class TestCompare:
         assert c.route == "float" and c.certificate is None
 
     def test_incommensurable_close_is_inconclusive(self):
-        # log(998)/log(997) vs log(999)/log(998): gap ~ 1e-6 < tol=1e-3
-        a = LogRatio(998, 997)
-        b = LogRatio(999, 998)
-        c = a.compare(b, float_tol=1e-3)
+        # log(20001)/log(20000) vs log(20002)/log(20001): gap ~ 2.8e-10 < FLOAT_TOL
+        a = LogRatio(20001, 20000)
+        b = LogRatio(20002, 20001)
+        c = a.compare(b)
+        assert 0 < abs(c.float_gap) < FLOAT_TOL
         assert c.relation is Relation.INCONCLUSIVE
         assert c.certificate is None
 
