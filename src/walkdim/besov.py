@@ -17,7 +17,13 @@ block.  The pushforward audit makes one such scan, of the source graph:
 the image ball B(s*x, r) is s*B(x, r/s), so every image-side sum is a
 source-side sum at an exact rational radius.  alfors_check counts every
 regularity ball, of a sample or a level graph, with _ball_masses on
-integer weights.
+integer weights, by tiles: the cloud is cut into small compact tiles of
+points and the centers into tiles of centers, each with its integer
+bounding box, and the least and largest squared box distances of a pair
+of tiles decide, per ball, whether the point tile lies wholly inside
+every center's ball (its weight sum added at once), wholly outside (it
+is skipped), or is cut by the sphere: only those tiles get per-point
+squared distances.
 """
 
 from __future__ import annotations
@@ -125,12 +131,12 @@ def _check_numerators(points: LatticePoints) -> None:
 
 
 def _sorted_cloud(points: LatticePoints, radii: Sequence[float]) -> tuple:
-    """(order, x, bound, top, squared), after the numerator check, of the
-    cloud sorted by (x, y) and shifted to 0 (its point p is
-    points[order[p]]): its x coordinates; per radius the bound L, capped
-    at the largest d^2, top; and squared(rows, first, cols), the d^2 of
-    the sorted points rows (a slice or index array) to the cols points
-    from first, int32 where top fits, in buffers reused across blocks."""
+    """(order, x, y, bound, top, squared), after the numerator check, of
+    the cloud sorted by (x, y) and shifted to 0 (its point p is
+    points[order[p]]): its x and y coordinates; per radius the bound L,
+    capped at the largest d^2, top; and squared(rows, cols), the d^2 of
+    the sorted points rows to the sorted points cols (each a slice or an
+    index array), int32 where top fits, in buffers reused across blocks."""
     import numpy as np
 
     n = len(points.numerators)
@@ -147,15 +153,16 @@ def _sorted_cloud(points: LatticePoints, radii: Sequence[float]) -> tuple:
     x, y = np.ascontiguousarray(xy.T, dtype=dtype)
     bufs = np.empty(max(PAIR_BLOCK, n), dtype), np.empty(max(PAIR_BLOCK, n), dtype)
 
-    def squared(rows, first: int, cols: int) -> np.ndarray:
-        d2, dy = (buf[: x[rows].size * cols].reshape(-1, cols) for buf in bufs)
-        for axis, out in ((x, d2), (y, dy)):
-            np.subtract(axis[rows, None], axis[first : first + cols], out=out)
+    def squared(rows, cols) -> np.ndarray:
+        (xr, yr), (xc, yc) = (x[rows], y[rows]), (x[cols], y[cols])
+        d2, dy = (buf[: xr.size * xc.size].reshape(xr.size, xc.size) for buf in bufs)
+        for a, b, out in ((xr, xc, d2), (yr, yc, dy)):
+            np.subtract(a[:, None], b, out=out)
             np.multiply(out, out, out=out)
         d2 += dy
         return d2
 
-    return order, x, bound, top, squared
+    return order, x, y, bound, top, squared
 
 
 def _block_rows(most: int, entries) -> int:
@@ -200,7 +207,7 @@ def _ball_sums(
 
     n = len(points.numerators)
     _check_pair_budget(n, isinstance(points, MeasureSample))
-    order, x, bound, top, squared = _sorted_cloud(points, radii)
+    order, x, _, bound, top, squared = _sorted_cloud(points, radii)
     balls = sorted(set(bound))  # the distinct bounds, increasing
     k = len(balls)
     ends = [np.searchsorted(x, x + math.isqrt(b), "right") for b in balls]
@@ -218,7 +225,7 @@ def _ball_sums(
         first, cols = start + 1, reach[stop - 1] - start - 1
         if cols > 0:
             # entry (a, b) is the pair (start + a, first + b), so i < j iff a <= b
-            d2 = squared(slice(start, stop), first, cols)
+            d2 = squared(slice(start, stop), slice(first, first + cols))
             d2[:, :rows][np.tri(rows, min(rows, cols), -1, dtype=bool)] = top + 1
             du2 = du2_buf[: rows * cols].reshape(rows, cols)
             np.subtract(u[start:stop, None], u[first : first + cols], out=du2)
@@ -251,41 +258,82 @@ def _ball_sums(
     return sums
 
 
+# Centers per row tile and points per column tile of _ball_masses.
+ROW_TILE = 64
+COLUMN_TILE = 8
+
+
+def _tiles(x: np.ndarray, y: np.ndarray, size: int) -> tuple:
+    """(order, boxes) of points sorted by (x, y): order cuts them into x
+    strips of size * isqrt(n // size) points, about sqrt(n * size), each
+    in y order, so that every run of size consecutive points is a
+    compact tile; boxes are the int64 (x0, x1, y0, y1) of those tiles."""
+    import numpy as np
+
+    n = len(x)
+    order = np.lexsort((y, np.arange(n) // (size * max(1, math.isqrt(n // size)))))
+    starts = np.arange(0, n, size)
+    boxes = tuple(
+        f.reduceat(axis[order].astype(np.int64), starts)
+        for axis in (x, y)
+        for f in (np.minimum, np.maximum)
+    )
+    return order, boxes
+
+
 def _ball_masses(
     points: LatticePoints, centers: Sequence[int], radii: Sequence[float], weights: np.ndarray
 ) -> np.ndarray:
     """Per radius (rows) and center index c (columns), in the given
     orders, the weight of the open ball B(c, r), c's own included, with
-    _ball_sums' integer balls.  The centers go in x order, in blocks
-    within PAIR_BLOCK entries of the x-window of the largest ball; each
-    radius multiplies the mask of its own x-window by the weights, so
-    integer-valued weights (summing below 2^53) give exact integer
-    masses in any BLAS summation order."""
+    _ball_sums' integer balls.
+
+    The sorted cloud is cut into column tiles of COLUMN_TILE points and
+    the centers into row tiles of ROW_TILE, both by _tiles; each tile
+    has its integer bounding box, and each column tile its weight sum
+    (np.add.reduceat).  For a row tile, the int64 box distances dmin^2
+    and dmax^2 to every column tile classify it per radius bound L: a
+    tile with dmax^2 <= L lies in every row's ball and adds its weight
+    sum to all of them at once, a tile with dmin^2 > L is skipped, and
+    only the tiles left get per-point d^2 (_sorted_cloud), in chunks
+    within PAIR_BLOCK entries.  Integer-valued weights (summing below
+    2^53) give exact integer masses in any BLAS summation order."""
     import numpy as np
 
-    order, x, bound, _, squared = _sorted_cloud(points, radii)
-    w = weights[order]
+    order, x, y, bound, _, squared = _sorted_cloud(points, radii)
+    n = len(x)
+    cols, (cx0, cx1, cy0, cy1) = _tiles(x, y, COLUMN_TILE)
+    w = weights[order][cols]  # the weights in column-tile order
+    tile_w = np.add.reduceat(w, np.arange(0, n, COLUMN_TILE))
     at = np.argsort(order)[np.array(centers, dtype=np.intp)]
-    back = np.argsort(at)
-    at = at[back]  # the centers' places in the sorted cloud, increasing
-    lo = [np.searchsorted(x, x[at] - math.isqrt(b), "left").tolist() for b in bound]
-    hi = [np.searchsorted(x, x[at] + math.isqrt(b), "right").tolist() for b in bound]
-    big = bound.index(max(bound))
-    in_buf = np.empty(max(PAIR_BLOCK, len(x)), bool)
+    by_place = np.argsort(at)  # the centers in sorted-cloud order
+    tiled, (rx0, rx1, ry0, ry1) = _tiles(x[at[by_place]], y[at[by_place]], ROW_TILE)
+    tiled = by_place[tiled]  # the centers in row-tile order
+    rows_at = at[tiled]
+    ls = np.array(bound, dtype=np.int64)[:, None]
+    lanes = np.arange(COLUMN_TILE)
+    in_buf = np.empty(max(PAIR_BLOCK, n), bool)
     mass = np.empty((len(bound), len(at)))
-    start = 0
-    while start < len(at):
-        first = lo[big][start]
-        rows = _block_rows(len(at) - start, lambda r: r * (hi[big][start + r - 1] - first))
-        stop = start + rows
-        d2 = squared(at[start:stop], first, hi[big][stop - 1] - first)
-        for t, b in enumerate(bound):
-            a, c = lo[t][start] - first, hi[t][stop - 1] - first
-            inside = in_buf[: rows * (c - a)].reshape(rows, c - a)
-            np.less_equal(d2[:, a:c], b, out=inside)
-            mass[t, start:stop] = inside @ w[first + a : first + c]
-        start = stop
-    return mass[:, np.argsort(back)]
+    for tile, start in enumerate(range(0, len(at), ROW_TILE)):
+        rows = rows_at[start : start + ROW_TILE]
+        gap_x = np.maximum(np.maximum(cx0 - rx1[tile], rx0[tile] - cx1), 0)
+        gap_y = np.maximum(np.maximum(cy0 - ry1[tile], ry0[tile] - cy1), 0)
+        span_x = np.maximum(cx1 - rx0[tile], rx1[tile] - cx0)
+        span_y = np.maximum(cy1 - ry0[tile], ry1[tile] - cy0)
+        near = gap_x * gap_x + gap_y * gap_y  # dmin^2 per column tile
+        far = span_x * span_x + span_y * span_y  # dmax^2
+        whole = far <= ls
+        mass[:, start : start + rows.size] = (whole @ tile_w)[:, None]
+        step = max(1, PAIR_BLOCK // rows.size)
+        for t, edge in enumerate((near <= ls) & ~whole):
+            part = (np.flatnonzero(edge)[:, None] * COLUMN_TILE + lanes).ravel()
+            part = part[part < n]
+            for a in range(0, part.size, step):
+                chunk = part[a : a + step]
+                inside = in_buf[: rows.size * chunk.size].reshape(rows.size, chunk.size)
+                np.less_equal(squared(rows, cols[chunk]), bound[t], out=inside)
+                mass[t, start : start + rows.size] += inside @ w[chunk]
+    return mass[:, np.argsort(tiled)]
 
 
 @dataclass(frozen=True)
@@ -405,8 +453,9 @@ def critical_exponent_fit(
         )
     j_max = int(round(-math.log2(r_min)))
     j_min = int(round(-math.log2(r_max)))
-    radii = dyadic_grid(max(1, j_min), j_max)
-    rows = besov_functional(source, u, sigma=0.0, r_grid=radii).rows
+    # a window that holds no dyadic radius scans nothing and fails the fit
+    radii = dyadic_grid(max(1, j_min), j_max) if j_max >= 1 else ()
+    rows = besov_functional(source, u, sigma=0.0, r_grid=radii).rows if radii else ()
     more = "the level (-m)" if isinstance(source, LevelGraph) else "the sample count (--sample)"
     # with fewer than four grid radii in the window, only a wider window adds radii
     in_window = sum(r_min <= r <= r_max for r in radii)

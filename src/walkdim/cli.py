@@ -95,7 +95,7 @@ def _boundary_values(ifs: IfsSpec, boundary: Optional[str]) -> Sequence[Fraction
         return [Fraction(1)] + [Fraction(0)] * (k - 1)
     vals = _rational_list(boundary, "boundary value")
     if len(vals) != k:
-        raise _ParseFailure(f"need {k} boundary values, got {len(vals)}")
+        raise _ParseFailure(f"need {k} boundary values, got {len(vals)} (--boundary)")
     return vals
 
 

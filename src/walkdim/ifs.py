@@ -15,14 +15,17 @@ import functools
 import json
 import math
 import random
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._geometry import Point, convex_hull, hull_intersection
 from .errors import ValidationError
 from .logratio import LogRatio
 from .rational import as_fraction, as_point, format_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Boundary points are accepted when fixed by some composition of at most
 # this many maps; covers every shipped preset at length 1.
@@ -369,9 +372,9 @@ class MeasureSample(LatticePoints):
 DIGIT_BATCH = 2 ** 15
 
 
-def _uniform_digits(rng: random.Random, n: int, count: int) -> list[int]:
+def _uniform_digits(rng: random.Random, n: int, count: int) -> np.ndarray:
     """The digits of count successive rng.randrange(n) calls, from
-    batches of 32-bit generator words.
+    batches of 32-bit generator words, as an array.
 
     randrange(n) draws getrandbits(k), k = n.bit_length(), until the
     result is below n, and getrandbits(k <= 32) is the top k bits of one
@@ -379,15 +382,18 @@ def _uniform_digits(rng: random.Random, n: int, count: int) -> list[int]:
     first.  So keeping, in order, each word's top k bits that are below
     n gives the same digits; the unused words of the last batch only
     advance rng."""
+    import numpy as np
+
     k = n.bit_length()
-    digits: list[int] = []
-    while len(digits) < count:
+    batches, drawn = [], 0
+    while drawn < count:
         # a word gives a digit with probability n/2^k
-        words = min(DIGIT_BATCH, ((count - len(digits)) << k) // n + 1)
+        words = min(DIGIT_BATCH, ((count - drawn) << k) // n + 1)
         raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        digits.extend(d for w in struct.unpack(f"<{words}I", raw) if (d := w >> (32 - k)) < n)
-    del digits[count:]
-    return digits
+        top = np.frombuffer(raw, "<u4") >> (32 - k)
+        batches.append(top[top < n])
+        drawn += batches[-1].size
+    return np.concatenate(batches)[:count]
 
 
 def sample_measure(
@@ -396,7 +402,14 @@ def sample_measure(
     """count i.i.d. points F_{w1} o ... o F_{w_depth}(x0), x0 = first
     boundary vertex, digits uniform; deterministic in seed, the digits
     those of successive random.Random(seed).randrange(N) calls.
-    Composed and kept on integer numerators (_lattice)."""
+
+    Composed on integer numerators (_lattice) by Horner's rule, one
+    numpy column of count points per digit position: int64 where the
+    triangle-inequality bound p^depth*|B| + sum_j p^(depth-1-j)*q^(j+1)*|T|
+    on every partial numerator fits, Python ints (dtype object)
+    otherwise."""
+    import numpy as np
+
     ensure_valid(ifs)
     if depth < 1 or count < 1:
         raise ValueError(
@@ -404,15 +417,21 @@ def sample_measure(
             f"count = {count}"
         )
     digits = _uniform_digits(random.Random(seed), len(ifs.maps), count * depth)
+    digits = digits.reshape(count, depth)  # row i: the digits of point i, outermost map first
     p, q, d, T, B = _lattice(ifs)
-    q_powers = [q ** (j + 1) for j in range(depth)]
-    pts: list[tuple[int, int]] = []
-    for start in range(0, count * depth, depth):
-        ax, ay = B[0]
-        for qj, digit in zip(q_powers, reversed(digits[start : start + depth])):
-            ax, ay = p * ax + qj * T[digit][0], p * ay + qj * T[digit][1]
-        pts.append((ax, ay))
-    return MeasureSample(tuple(pts), q_powers[-1] * d, depth, seed)
+    top_t = max(abs(c) for t in T for c in t)
+    top = p ** depth * max(map(abs, B[0])) + sum(
+        p ** (depth - 1 - j) * q ** (j + 1) * top_t for j in range(depth)
+    )
+    dtype = np.int64 if top < 2 ** 63 else object
+    axes = [np.full(count, c, dtype) for c in B[0]]
+    for j in range(depth):
+        digit = digits[:, depth - 1 - j]
+        for axis, ts in enumerate(zip(*T)):
+            step = np.array([q ** (j + 1) * t for t in ts], dtype)
+            axes[axis] = p * axes[axis] + step[digit]
+    numerators = tuple(zip(*(a.tolist() for a in axes)))
+    return MeasureSample(numerators, q ** depth * d, depth, seed)
 
 
 def preset(name: str) -> IfsSpec:

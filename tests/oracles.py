@@ -432,6 +432,27 @@ def open_ball_counts_exact(points, r: float) -> np.ndarray:
     return open_ball_mask_exact(points, r).sum(axis=1)
 
 
+def ball_masses_brute(cloud, centers, radii, weights) -> list[list[int]]:
+    """Per radius and center, the int weight of the open ball B(c, r) of
+    a lattice cloud (numerators over one denominator), c's own included:
+    a double loop over Python ints, each pair decided by d^2/D^2 < r^2
+    for the exact value of r, cross-multiplied."""
+    num, den2 = cloud.numerators, cloud.denominator ** 2
+    out = []
+    for r in radii:
+        r2 = Fraction(r) ** 2
+        row = []
+        for c in centers:
+            cx, cy = num[c]
+            row.append(sum(
+                int(w)
+                for (x, y), w in zip(num, weights)
+                if ((x - cx) ** 2 + (y - cy) ** 2) * r2.denominator < r2.numerator * den2
+            ))
+        out.append(row)
+    return out
+
+
 def ball_volumes_brute(points, w: np.ndarray, r: float) -> np.ndarray:
     """V(x,r) per point: total weight within the open ball, double loop."""
     inside = open_ball_mask_exact(points, r)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    ball_masses_brute,
     ball_sums_by_pairs,
     ball_volumes_brute,
     besov_raw_brute,
@@ -559,6 +562,55 @@ class TestAlfors:
         assert rep.rows[0].ratio_mean == pytest.approx(
             float(np.sum(w * ratios)), rel=1e-12
         )
+
+
+@st.composite
+def mass_cases(draw):
+    """(cloud, centers, radii, weights): a lattice cloud of 1 to ~380
+    points from a drawn seed, with duplicates; in its wide form the
+    numerators span past 2^15 each way, so that top >= 2^31 and d^2 runs
+    in int64; strided centers; dyadic, lattice and arbitrary radii,
+    repeated; int weights 1 to 5."""
+    wide = draw(st.booleans())
+    hi = 2 ** 29 if wide else 40
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xy = rng.integers(-hi, hi, size=(n, 2), endpoint=True)
+    xy = np.concatenate([xy, xy[rng.integers(0, n, draw(st.integers(0, n // 4)))]])
+    if wide:
+        xy = np.concatenate([xy, [(-hi, -hi), (hi, hi)]])
+    rng.shuffle(xy)
+    den = draw(st.integers(hi // 2, 2 * hi))
+    cloud = LatticePoints(tuple(map(tuple, xy.tolist())), den)
+    radius = st.one_of(
+        st.sampled_from(dyadic_grid(1, 8)),
+        st.fractions(F(1, 4 * den), F(1), max_denominator=4 * den).filter(lambda r: 0 < r < 1),
+        st.floats(1e-6, 0.999),
+    )
+    radii = draw(st.lists(radius, min_size=1, max_size=4))
+    radii += draw(st.lists(st.sampled_from(radii), max_size=2))
+    n = len(xy)
+    centers = range(draw(st.integers(0, n - 1)), n, draw(st.sampled_from((1, 2, 7))))
+    weights = rng.integers(1, 6, n).astype(float)
+    return cloud, centers, radii, weights
+
+
+class TestBallMasses:
+    @pytest.mark.parametrize("block", [besov.PAIR_BLOCK, 64])
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=mass_cases())
+    # a column tile whose far corner lies at exactly r: outside the open ball
+    @example(case=(LatticePoints(((0, 0), (3, 4)), 10), range(0, 2, 7), [F(1, 2)], np.ones(2)))
+    def test_equal_brute_integer_oracle(self, monkeypatch, block, case):
+        # row and column tiles that are wholly in, wholly out or cut by a
+        # ball, in one chunk or in many of PAIR_BLOCK entries
+        monkeypatch.setattr(besov, "PAIR_BLOCK", block)
+        cloud, centers, radii, weights = case
+        mass = besov._ball_masses(cloud, centers, radii, weights)
+        assert mass.shape == (len(radii), len(centers))
+        assert mass.tolist() == ball_masses_brute(cloud, centers, radii, weights)
 
 
 @pytest.fixture

@@ -431,6 +431,8 @@ def test_pair_scan_level_refused_before_build(capsys, monkeypatch, argv):
         ("besov-fit sg --sample 20001 --function x", "budget", "(--sample)"),
         ("besov-fit sg -m -1", "value", "(-m)"),
         ("besov-fit sg -m 5 --r-min 1/2 --r-max 1/4", "value", "(--r-min, --r-max)"),
+        ("besov-fit sg -m 5 --r-min 9/10 --r-max 19/20", "fit", "(--r-min)"),
+        ("harmonic sg -m 2 --boundary 1,0", "config", "(--boundary)"),
         ("besov-fit sg --sample 500 --depth 0 --function x", "value", "(--depth, --sample)"),
         ("pushforward sg -m 4 --scale 0", "value", "(--scale)"),
         ("exit-fit sg -m 3 --start -1", "value", "(--start)"),
@@ -439,7 +441,7 @@ def test_pair_scan_level_refused_before_build(capsys, monkeypatch, argv):
 def test_refusal_names_its_option(capsys, monkeypatch, line, code, option):
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     rc, payload = run(capsys, *line.split())
-    assert rc == 1
+    assert rc == (2 if code == "config" else 1)
     assert payload["error"] == code
     assert option in payload["detail"]
 

@@ -361,7 +361,9 @@ class TestSampling:
 
 class TestLatticeSampling:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("depth", [1, 2, 12])
+    # depth 62: sg's numerator bound 2^63 - 2 still fits int64; depth 70
+    # composes every system on Python ints (dtype object)
+    @pytest.mark.parametrize("depth", [1, 2, 12, 62, 70])
     @pytest.mark.parametrize("name", ["sg", "segment", "hook", "sg2", "shifted-hook"])
     def test_matches_wordwise_oracle(self, lattice_systems, name, depth, seed):
         ifs = lattice_systems[name]
@@ -395,7 +397,7 @@ class TestLatticeSampling:
         count = 3 * walkdim.ifs.DIGIT_BATCH
         rng = random.Random(11)
         want = [rng.randrange(n) for _ in range(count)]
-        assert walkdim.ifs._uniform_digits(random.Random(11), n, count) == want
+        assert walkdim.ifs._uniform_digits(random.Random(11), n, count).tolist() == want
 
     def test_boundary_denominator_enters_lattice(self, lattice_systems):
         p, q, d, T, B = _lattice(lattice_systems["shifted-hook"])
