@@ -1,9 +1,12 @@
 """Discretized Besov-type oscillation functionals on point clouds.
 
-The scan computes, per radius r, the weighted mean-square oscillation
-over open balls B(x,r) normalized by empirical ball volumes, which is
-the discrete counterpart of the sup-over-r functional whose critical
-exponent recovers the walk dimension.  Point clouds, level graphs
+The scan reports, per radius r, the weighted mean-square oscillation
+over open balls B(x,r) normalized by empirical ball volumes, its
+r^(-2 sigma) scaling and the pair count: the discrete counterpart of
+the functional whose critical exponent recovers the walk dimension.
+The pushforward audit reports per radius the two sides of its
+oscillation inequality under x -> s*x + t and the two critical-exponent
+fits.  Point clouds, level graphs
 (exact weights) or measure samples (uniform weights), are their integer
 numerators over one denominator (ifs.LatticePoints), and every open
 ball is decided on those integers, exactly at any radius: d(x, y) < r
@@ -15,7 +18,8 @@ of rows against the x-window of its largest ball, and adds each ball's
 masked row and column sums into per-point sums; no pair outlives its
 block.  The pushforward audit makes one such scan, of the source graph:
 the image ball B(s*x, r) is s*B(x, r/s), so every image-side sum is a
-source-side sum at an exact rational radius.  alfors_check counts every
+source-side sum at an exact rational radius, and the image fit is the
+source fit on radii scaled by s.  alfors_check counts every
 regularity ball, of a sample or a level graph, with _ball_masses on
 integer weights, by tiles: the cloud is cut into small compact tiles of
 points and the centers into tiles of centers, each with its integer
@@ -34,10 +38,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .dirichlet import GraphFunction, _loglog_fit
+from .dirichlet import GraphFunction, _float_measure_weights, _loglog_fit
 from .errors import BudgetExceeded, FitError
 from .ifs import IfsSpec, LatticePoints, MeasureSample, hausdorff_dim
-from .levelgraph import LevelGraph, _cell_counts, _float_measure_weights
+from .levelgraph import LevelGraph, _cell_counts
 from .rational import as_fraction, as_point, format_rational
 
 if TYPE_CHECKING:
@@ -64,7 +68,7 @@ def _weights(source: PointSource) -> np.ndarray:
     import numpy as np
 
     if isinstance(source, LevelGraph):
-        return np.array(_float_measure_weights(source))
+        return _float_measure_weights(source)
     if isinstance(source, MeasureSample):
         return np.full(len(source.numerators), 1.0 / len(source.numerators))
     raise TypeError("point source must be a LevelGraph or MeasureSample")
@@ -124,8 +128,13 @@ def _open_ball_bound(r: Union[float, Fraction], den: int) -> int:
 def _check_numerators(points: LatticePoints) -> None:
     """Refuse numerators past MAX_SCAN_NUMERATOR, naming the cloud's knob."""
     top = max(map(abs, chain.from_iterable(points.numerators)), default=0)
+    _check_numerator_bound(top, isinstance(points, MeasureSample))
+
+
+def _check_numerator_bound(top: int, sampled: bool) -> None:
+    """Refuse a cloud whose numerators reach top >= MAX_SCAN_NUMERATOR."""
     if top >= MAX_SCAN_NUMERATOR:
-        knob = "sampling depth (--depth)" if isinstance(points, MeasureSample) else "level (-m)"
+        knob = "sampling depth (--depth)" if sampled else "level (-m)"
         remedy = f"lower the {knob} (fixed limit besov.MAX_SCAN_NUMERATOR)"
         raise BudgetExceeded(top, MAX_SCAN_NUMERATOR, "lattice numerator", remedy)
 
@@ -341,21 +350,13 @@ class BesovRow:
     r: float
     raw: float  # ball-normalized mean-square oscillation at scale r
     scaled: float  # r^(-2 sigma) * raw
-    volume_min: float
-    volume_max: float
     pair_count: int
-
-    @property
-    def usable(self) -> bool:
-        return self.pair_count > 0
 
 
 @dataclass(frozen=True)
 class BesovScan:
     sigma: float
     rows: tuple[BesovRow, ...]
-    supremum: float
-    l2_norm: float
 
 
 def besov_functional(
@@ -369,25 +370,18 @@ def besov_functional(
     For each x, the inner term averages w_y-weighted (u(x)-u(y))^2 over
     the open ball of radius r and divides by the empirical ball volume
     (x itself always counts, so volumes never vanish); the outer sum is
-    w_x-weighted.  Radii with no point pairs are kept but flagged via
-    pair_count = 0.  r_grid (default dyadic_grid()) may hold any radii
-    in (0,1); their open balls are exact on the lattice numerators.
+    w_x-weighted.  Radii with no point pairs are kept, with pair_count
+    = 0.  r_grid (default dyadic_grid()) may hold any radii in (0,1);
+    their open balls are exact on the lattice numerators.
     """
-    import numpy as np
-
     w = _weights(source)
     vals = _function_values(source, u)
     radii = _radius_grid(r_grid)
-    rows: list[BesovRow] = []
-    for r, (volume, raw, pairs, _) in zip(radii, _ball_sums(source, w, radii, vals)):
-        scaled = r ** (-2.0 * sigma) * raw
-        rows.append(
-            BesovRow(float(r), raw, scaled, float(volume.min()), float(volume.max()), pairs)
-        )
-    usable = [row.scaled for row in rows if row.usable]
-    supremum = max(usable) if usable else 0.0
-    l2 = float(np.sqrt(np.sum(w * vals ** 2)))
-    return BesovScan(float(sigma), tuple(rows), supremum, l2)
+    rows = (
+        BesovRow(float(r), raw, r ** (-2.0 * sigma) * raw, pairs)
+        for r, (_, raw, pairs, _) in zip(radii, _ball_sums(source, w, radii, vals))
+    )
+    return BesovScan(float(sigma), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -597,8 +591,6 @@ class PushforwardReport:
     scale: Fraction
     inflation: Fraction  # the bi-Lipschitz constant C
     cprime_bound: float  # C^(2 alpha); the constant the inequality uses
-    cprime_observed: float  # max over radii of lhs/rhs
-    lp_ratios: dict
     rows: tuple[PushforwardRow, ...]
     source_fit: CriticalExponentEstimate
     image_fit: CriticalExponentEstimate
@@ -610,8 +602,6 @@ class PushforwardReport:
             "scale": format_rational(self.scale),
             "inflation": format_rational(self.inflation),
             "cprime_bound": self.cprime_bound,
-            "cprime_observed": self.cprime_observed,
-            "lp_ratios": self.lp_ratios,
             "rows": [asdict(row) for row in self.rows],
             "source_beta_star": self.source_fit.to_json(),
             "image_beta_star": self.image_fit.to_json(),
@@ -620,102 +610,60 @@ class PushforwardReport:
         }
 
 
-def pushforward_check(
-    transform: LipschitzMap,
-    ifs: IfsSpec,
-    u: GraphFunction,
-    r_grid: Optional[Sequence[float]] = None,
-) -> PushforwardReport:
-    """Empirical invariance audit of the oscillation machinery under an
-    affine bi-Lipschitz map.
+def pushforward_check(transform: LipschitzMap, ifs: IfsSpec, u: GraphFunction) -> PushforwardReport:
+    """Invariance audit of the oscillation machinery under x -> s*x + t.
 
-    Checks, on the level graph carrying u, with alpha = hausdorff_dim(ifs):
-    (i) L^p norm scaling of the transported function against the
-    alpha-dimensional volume factor, (ii) the pair-oscillation
-    inequality image(r) <= C' * source(C*r) with C the bi-Lipschitz
-    constant and C' = C^(2 alpha), at every grid radius, and (iii)
-    agreement of the critical-exponent fits of source and image.
-    A translation moves no distance, and the image ball B(s*x, rho) is
-    s*B(x, rho/s), so one scan of the source graph, at the exact radii
-    r, C*r and r/s, gives both sides: the image's oscillation at s*r is
-    the source's at r, and its fit differs from the source's only in
-    the rounding of the radii s*r.  u must live on a level graph of
-    `ifs`; ValueError otherwise.
+    On the level graph carrying u, with alpha = hausdorff_dim(ifs), C =
+    max(s, 1/s) the bi-Lipschitz constant and C' = C^(2 alpha), one row
+    per radius r of dyadic_grid() checks the pair-oscillation inequality
+    image(r) <= C' * source(C*r), the image measure s^alpha times the
+    source's; both critical exponents are fitted and compared.  A
+    translation moves no distance, and the image ball B(s*x, rho) is
+    s*B(x, rho/s), so one scan of the source graph at the exact radii
+    r, C*r and r/s gives both sides, and the image fit is the source
+    fit on radii and window scaled by s.  u must live on a level graph
+    of `ifs`; ValueError otherwise.
     """
-    import numpy as np
-
     graph = u.graph
     if ifs != graph.ifs:
         raise ValueError(
             f"u lives on {graph.ifs.name!r}, not on the given system {ifs.name!r}"
         )
     alpha = hausdorff_dim(ifs).value
-    radii = _radius_grid(r_grid)
+    radii = dyadic_grid()
     k = len(radii)
-    float_radii = [float(r) for r in radii]
     s = float(transform.scale)
-    c_float = float(transform.bilipschitz_constant)
-    w = _weights(graph)
-    vals = u.float_values()
+    c, scale = transform.bilipschitz_constant, transform.scale
 
     # one scan of the source at the exact radii r (both fits), C*r (the
     # right-hand sides) and r/s (the left-hand sides: the image ball
     # B(s*x, r) is s*B(x, r/s)); for s <= 1, r/s = C*r shares its balls
     exact = [Fraction(r) for r in radii]
-    c, scale = transform.bilipschitz_constant, transform.scale
-    sums = _ball_sums(graph, w, exact + [r * c for r in exact] + [r / scale for r in exact], vals)
+    exact += [r * c for r in exact] + [r / scale for r in exact]
+    sums = _ball_sums(graph, _weights(graph), exact, u.float_values())
     raws = [raw for _, raw, _, _ in sums[:k]]
-    r_min, r_max = FIT_WINDOW
-    source_fit = _fit(float_radii, raws, FIT_WINDOW, "raise the level (-m)")
+    source_fit = _fit(radii, raws, FIT_WINDOW, "raise the level (-m)")
 
-    # (i) alpha-dimensional mass transport: image carries s^alpha times
-    # the source mass, so L^p norms scale by s^(alpha/p)
-    mass_factor = s ** alpha
-    w_img = w * mass_factor
-    lp: dict = {}
-    for p in (1, 2):
-        src_norm = float(np.sum(w * np.abs(vals) ** p) ** (1.0 / p))
-        img_norm = float(np.sum(w_img * np.abs(vals) ** p) ** (1.0 / p))
-        observed = img_norm / src_norm if src_norm > 0 else 1.0
-        lp[p] = {
-            "observed": observed,
-            "predicted": mass_factor ** (1.0 / p),
-            "bound": c_float ** (alpha / p),
-            "ok": observed <= c_float ** (alpha / p) * (1 + 1e-12),
-        }
-
-    # (ii) each side: the double integral of (u(x)-u(y))^2 over open-ball
-    # pairs, the image's under weights w_img = mass_factor * w
-    lhs_sides = [mass_factor ** 2 * integral for _, _, _, integral in sums[2 * k :]]
-    rhs_sides = [integral for _, _, _, integral in sums[k : 2 * k]]
-    cprime_bound = c_float ** (2.0 * alpha)
-    rows: list[PushforwardRow] = []
-    observed_ratio = 0.0
-    for r, lhs, rhs in zip(float_radii, lhs_sides, rhs_sides):
+    # each side: the double integral of (u(x)-u(y))^2 over open-ball
+    # pairs, the image's under the weights s^alpha * w
+    cprime_bound = float(c) ** (2.0 * alpha)
+    rows = []
+    for r, (_, _, _, rhs), (_, _, _, integral) in zip(radii, sums[k : 2 * k], sums[2 * k :]):
+        lhs = (s ** alpha) ** 2 * integral
         bound = cprime_bound * rhs
-        ok = lhs <= bound * (1 + 1e-12)
-        if rhs > 0 and lhs > 0:
-            observed_ratio = max(observed_ratio, lhs / rhs)
-        rows.append(PushforwardRow(r, lhs, rhs, bound, ok))
+        rows.append(PushforwardRow(r, lhs, rhs, bound, lhs <= bound * (1 + 1e-12)))
 
-    # (iii) the image's raw at s*r is the source's at r; its radii and
-    # window are the source's scaled by the map, so both fits use the
-    # same grid radii on any grid
-    image_fit = _fit(
-        [r * s for r in float_radii], raws, (r_min * s, r_max * s), "raise the level (-m)"
-    )
+    # the image's raw at s*r is the source's at r
+    window = tuple(edge * s for edge in FIT_WINDOW)
+    image_fit = _fit([r * s for r in radii], raws, window, "raise the level (-m)")
     combined = 2.0 * (source_fit.stderr + image_fit.stderr)
-    fits_agree = abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12)
-    exact_invariance = transform.scale == 1
     return PushforwardReport(
-        transform.scale,
-        transform.bilipschitz_constant,
+        scale,
+        c,
         cprime_bound,
-        observed_ratio,
-        lp,
         tuple(rows),
         source_fit,
         image_fit,
-        fits_agree,
-        exact_invariance,
+        abs(source_fit.slope - image_fit.slope) <= max(combined, 1e-12),
+        scale == 1,
     )

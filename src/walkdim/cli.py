@@ -25,7 +25,8 @@ from .errors import (
     ValidationError,
     WalkdimError,
 )
-from .ifs import IfsSpec, LatticePoints, load_system, preset_names, sample_measure, validate
+from .ifs import IfsSpec, LatticePoints, load_system, preset_names, validate
+from .ifs import sample_measure, sample_numerator_bound
 from .levelgraph import build_level_graph, components_after_removal, level_vertex_count
 from .network import renorm_factor, walk_dimension
 from .rational import format_rational, json_number, parse_rational
@@ -214,6 +215,7 @@ def _cmd_besov_fit(args):
                 "--sample supports coordinate functions only (x, y)"
             )
         besov._check_pair_budget(args.sample, True)
+        besov._check_numerator_bound(sample_numerator_bound(ifs, args.depth), True)
         source = sample_measure(ifs, depth=args.depth, count=args.sample, seed=args.seed)
         u = _coordinate(source, args.function)
     else:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import FitError
 from .ifs import IfsSpec, ensure_valid
-from .levelgraph import LevelGraph, _check_level, _float_measure_weights, build_level_graph
+from .levelgraph import LevelGraph, _cell_counts, _check_level, build_level_graph
 from .network import _back_substitute, _eliminate, _matrix, _refine
 from .rational import as_fraction, format_rational
 
@@ -279,6 +279,14 @@ def _loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return float(coeffs[0]), float(np.sqrt(cov[0][0]))
 
 
+def _float_measure_weights(g: LevelGraph) -> np.ndarray:
+    """vertex_measure_weights as float64, the same floats as float(Fraction)."""
+    import numpy as np
+
+    counts, total = _cell_counts(g)
+    return np.array(counts, dtype=float) / total
+
+
 def default_time_grid(t_min: int = 10, t_max: int = 1000, count: int = 30) -> tuple[int, ...]:
     """The distinct integer roundings of count log-spaced times from
     t_min to t_max; ValueError unless 1 <= t_min < t_max and count >= 1."""
@@ -347,7 +355,7 @@ def heat_kernel_diag(
     cols[slot, dst] = src
     weights[slot, dst] = np.where(src == dst, _HOLD, move[src])
 
-    measure = np.array(_float_measure_weights(g))
+    measure = _float_measure_weights(g)
     pi = degrees / degrees.sum()
     plateau = float(pi[x] / measure[x])
 

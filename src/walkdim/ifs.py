@@ -396,6 +396,20 @@ def _uniform_digits(rng: random.Random, n: int, count: int) -> np.ndarray:
     return np.concatenate(batches)[:count]
 
 
+def sample_numerator_bound(ifs: IfsSpec, depth: int) -> int:
+    """The triangle-inequality bound b_depth on every partial numerator of
+    sample_measure's Horner rule, b_0 = |B|, b_(j+1) = p*b_j + q^(j+1)*|T|
+    (_lattice); b_j grows with j, and the first b_j >= 2^63 stands for it."""
+    p, q, _, T, B = _lattice(ifs)
+    top_t = max(abs(c) for t in T for c in t)
+    top = max(map(abs, B[0]))
+    for j in range(depth):
+        if top >= 2 ** 63:
+            break
+        top = p * top + q ** (j + 1) * top_t
+    return top
+
+
 def sample_measure(
     ifs: IfsSpec, depth: int, count: int, seed: int = 42
 ) -> MeasureSample:
@@ -404,10 +418,8 @@ def sample_measure(
     those of successive random.Random(seed).randrange(N) calls.
 
     Composed on integer numerators (_lattice) by Horner's rule, one
-    numpy column of count points per digit position: int64 where the
-    triangle-inequality bound p^depth*|B| + sum_j p^(depth-1-j)*q^(j+1)*|T|
-    on every partial numerator fits, Python ints (dtype object)
-    otherwise."""
+    numpy column of count points per digit position: int64 where
+    sample_numerator_bound fits, Python ints (dtype object) otherwise."""
     import numpy as np
 
     ensure_valid(ifs)
@@ -419,11 +431,7 @@ def sample_measure(
     digits = _uniform_digits(random.Random(seed), len(ifs.maps), count * depth)
     digits = digits.reshape(count, depth)  # row i: the digits of point i, outermost map first
     p, q, d, T, B = _lattice(ifs)
-    top_t = max(abs(c) for t in T for c in t)
-    top = p ** depth * max(map(abs, B[0])) + sum(
-        p ** (depth - 1 - j) * q ** (j + 1) * top_t for j in range(depth)
-    )
-    dtype = np.int64 if top < 2 ** 63 else object
+    dtype = np.int64 if sample_numerator_bound(ifs, depth) < 2 ** 63 else object
     axes = [np.full(count, c, dtype) for c in B[0]]
     for j in range(depth):
         digit = digits[:, depth - 1 - j]

@@ -160,9 +160,3 @@ def vertex_measure_weights(g: LevelGraph) -> list[Fraction]:
     counts, denom = _cell_counts(g)
     return [Fraction(c, denom) for c in counts]
 
-
-def _float_measure_weights(g: LevelGraph) -> list[float]:
-    """vertex_measure_weights as floats, each one int true division,
-    which rounds correctly: the same floats as float(Fraction)."""
-    counts, denom = _cell_counts(g)
-    return [c / denom for c in counts]

@@ -323,28 +323,28 @@ def dimension_report_from_constants(
     """Build the (alpha, gamma, beta) report from declared constants
     (map count, contraction ratio, renormalization factor), each an int,
     Fraction or "p/q" string.  A float energy scale makes the report
-    inexact: gamma and beta are then floats only."""
+    inexact: gamma and beta are then floats only.  A value out of range
+    raises ValueError naming it and its option (--constants)."""
     n = as_fraction(n_maps)
-    if n.denominator != 1:
-        raise ValueError("map count must be an integer")
-    if n < 2:
-        raise ValueError("need at least 2 maps")
+    if n.denominator != 1 or n < 2:
+        raise ValueError(f"map count must be an integer >= 2 (--constants); got {n}")
     rho = as_fraction(ratio)
-    if not (0 < rho < 1):
-        raise ValueError("ratio must lie in (0,1)")
+    if not 0 < rho < 1:
+        raise ValueError(f"contraction ratio must lie in (0,1) (--constants); got {rho}")
+    lam = energy_scale if isinstance(energy_scale, float) else as_fraction(energy_scale)
+    if not lam > 0:
+        raise ValueError(f"energy scale must be positive (--constants); got {lam}")
     base = 1 / rho
     alpha = LogRatio(n, base)
-    if not isinstance(energy_scale, float):
-        lam = as_fraction(energy_scale)
+    if not isinstance(lam, float):
         gamma = LogRatio(lam, base)
         beta = LogRatio(n * lam, base)
         return DimensionReport(
             name, alpha, lam, True, gamma, beta, gamma.value, beta.value
         )
-    lam_f = float(energy_scale)
-    gamma_f = math.log(lam_f) / math.log(float(base))
+    gamma_f = math.log(lam) / math.log(float(base))
     return DimensionReport(
-        name, alpha, lam_f, False, None, None, gamma_f, alpha.value + gamma_f
+        name, alpha, lam, False, None, None, gamma_f, alpha.value + gamma_f
     )
 
 

@@ -436,6 +436,9 @@ def test_pair_scan_level_refused_before_build(capsys, monkeypatch, argv):
         ("besov-fit sg --sample 500 --depth 0 --function x", "value", "(--depth, --sample)"),
         ("pushforward sg -m 4 --scale 0", "value", "(--scale)"),
         ("exit-fit sg -m 3 --start -1", "value", "(--start)"),
+        ("compare --constants 3,2,5/3 --constants 3,1/2,5/3", "value", "(--constants); got 2"),
+        ("compare --constants 3,1/2,0 --constants 3,1/2,5/3", "value", "(--constants); got 0"),
+        ("compare --constants 1,1/2,2 sg", "value", "(--constants); got 1"),
     ],
 )
 def test_refusal_names_its_option(capsys, monkeypatch, line, code, option):
@@ -444,6 +447,23 @@ def test_refusal_names_its_option(capsys, monkeypatch, line, code, option):
     assert rc == (2 if code == "config" else 1)
     assert payload["error"] == code
     assert option in payload["detail"]
+
+
+@pytest.mark.parametrize("system, depth", [("sg", 30), ("segment", 30), ("bench/hook.json", 18), ("sg", 200)])
+def test_sample_depth_refused_before_sampling(capsys, monkeypatch, system, depth):
+    # the numerator bound of the sample refuses the depth before any
+    # digit is drawn: sg and the segment run at depth 29, the hook at 17
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled before the depth check")
+
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    monkeypatch.setattr(walkdim.cli, "sample_measure", no_sample)
+    argv = ("besov-fit", system, "--sample", "20000", "--depth", str(depth), "--function", "x")
+    rc, payload = run(capsys, *argv)
+    assert rc == 1
+    assert payload["error"] == "budget"
+    assert "lattice numerator" in payload["detail"]
+    assert "(--depth)" in payload["detail"]
 
 
 def _readme_commands() -> list[str]:
@@ -723,7 +743,8 @@ def test_stdout_matches_golden(capsys, monkeypatch, argv, golden):
     lazy-walk steps).  The two besov-fit files and the pushforward file
     date from the integer ball kernel's einsum sums; they moved from the
     float kernel's bincount sums by at most 1.4e-13 relative, every
-    integer, string and key equal.
+    integer, string and key equal; the pushforward file later lost its
+    cprime_observed and lp_ratios keys, every other line unchanged.
     The hook harmonic file's two float energy fields date from Newton's
     method on the fixed direction, which replaced the power iteration;
     they moved by at most 3.5e-13 relative (energy_scale 1.2e-13, now

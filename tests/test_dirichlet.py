@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,9 @@ from walkdim.dirichlet import (
 from walkdim.errors import BudgetExceeded, FitError, ReductionError
 from walkdim.ifs import compose
 from walkdim.network import renorm_factor
-from walkdim.levelgraph import _float_measure_weights, build_level_graph, vertex_measure_weights
+from walkdim.besov import _weights
+from walkdim.dirichlet import _float_measure_weights
+from walkdim.levelgraph import _cell_counts, build_level_graph, vertex_measure_weights
 
 F = Fraction
 
@@ -487,8 +490,9 @@ class TestIntegerRoute:
 
 
 class TestHeatMeasure:
-    """The heat kernel's measure is read off the cell counts by int true
-    division, equal to the float(Fraction) weights bit for bit."""
+    """The heat kernel and the Besov scans read the measure off the cell
+    counts by one float array division, equal to the float(Fraction)
+    weights bit for bit."""
 
     @pytest.mark.parametrize(
         "name, m",
@@ -496,7 +500,20 @@ class TestHeatMeasure:
     )
     def test_float_weights_equal_fraction_floats(self, lattice_systems, name, m):
         g = build_level_graph(lattice_systems[name], m)
-        assert _float_measure_weights(g) == [float(w) for w in vertex_measure_weights(g)]
+        assert _float_measure_weights(g).tolist() == [float(w) for w in vertex_measure_weights(g)]
+
+    @pytest.mark.parametrize(
+        "name, m",
+        [("sg", m) for m in range(9)] + [("hook", m) for m in range(6)] + [("segment", m) for m in range(12)],
+    )
+    def test_array_division_equals_int_true_division(self, lattice_systems, name, m):
+        # counts and total are exact in float64, so each quotient rounds
+        # as the correctly rounded int true division c / total does
+        g = build_level_graph(lattice_systems[name], m)
+        counts, total = _cell_counts(g)
+        by_int = np.array([c / total for c in counts]).tobytes()
+        assert _float_measure_weights(g).tobytes() == by_int
+        assert _weights(g).tobytes() == by_int
 
     def test_heat_kernel_divides_by_those_weights(self, sg, monkeypatch):
         seen = []

@@ -26,6 +26,7 @@ from walkdim.ifs import (
     preset,
     preset_names,
     sample_measure,
+    sample_numerator_bound,
     validate,
 )
 from walkdim.logratio import LogRatio
@@ -398,6 +399,23 @@ class TestLatticeSampling:
         rng = random.Random(11)
         want = [rng.randrange(n) for _ in range(count)]
         assert walkdim.ifs._uniform_digits(random.Random(11), n, count).tolist() == want
+
+    @pytest.mark.parametrize("name", ["sg", "segment", "hook", "sg2", "shifted-hook"])
+    def test_numerator_bound_is_the_closed_form_below_int64(self, lattice_systems, name):
+        # the bound bounds the drawn numerators, equals the closed
+        # triangle-inequality sum while below 2^63 and stays past 2^63
+        # after, so int64 is chosen where the sum fits
+        ifs = lattice_systems[name]
+        p, q, _, T, B = _lattice(ifs)
+        top_t = max(abs(c) for t in T for c in t)
+        for depth in range(1, 90):
+            closed = p ** depth * max(map(abs, B[0])) + sum(
+                p ** (depth - 1 - j) * q ** (j + 1) * top_t for j in range(depth)
+            )
+            bound = sample_numerator_bound(ifs, depth)
+            assert bound == closed if closed < 2 ** 63 else bound >= 2 ** 63
+        sample = sample_measure(ifs, depth=12, count=300, seed=1)
+        assert max(abs(c) for pt in sample.numerators for c in pt) <= sample_numerator_bound(ifs, 12)
 
     def test_boundary_denominator_enters_lattice(self, lattice_systems):
         p, q, d, T, B = _lattice(lattice_systems["shifted-hook"])

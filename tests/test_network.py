@@ -490,6 +490,22 @@ class TestWalkDimension:
         assert geo.beta == declared.beta
         assert geo.alpha == declared.alpha
 
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ((1, F(1, 2), F(5, 3)), r"map count .* \(--constants\); got 1$"),
+            ((F(5, 2), F(1, 2), F(5, 3)), r"map count .* \(--constants\); got 5/2$"),
+            ((3, F(2), F(5, 3)), r"contraction ratio .* \(--constants\); got 2$"),
+            ((3, F(1, 2), F(0)), r"energy scale .* \(--constants\); got 0$"),
+            ((3, F(1, 2), 0.0), r"energy scale .* \(--constants\); got 0.0$"),
+            ((3, F(1, 2), -1.5), r"energy scale .* \(--constants\); got -1.5$"),
+        ],
+    )
+    def test_from_constants_refusal_names_value_and_option(self, constants, message):
+        # a float energy scale <= 0 is refused before it reaches math.log
+        with pytest.raises(ValueError, match=message):
+            dimension_report_from_constants("bad", *constants)
+
     def test_gasket_family_betas(self):
         k2 = dimension_report_from_constants("k2", 27, F(1, 8), F(295, 63))
         k3 = dimension_report_from_constants("k3", 81, F(1, 16), F(1475, 189))
